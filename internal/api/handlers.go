@@ -217,58 +217,81 @@ type configureResponse struct {
 	Solver    solverStats `json:"solver"`
 }
 
-// configureOn answers a configuration request through the warm-session
-// pool: a pool hit rebuilds from the session's retained, already-proven
-// model — zero solver effort, strictly fewer propagations than the cold
-// search (the load test asserts it) — while a miss solves cold and
-// donates the fresh session to the pool on the way out.
-func (s *Server) configureOn(p *spec.Partial) (*configureResponse, error) {
+// configured is what withSession lends a request: the answer to its
+// configuration request and the session that gave it.
+type configured struct {
+	full    *spec.Full
+	session *config.Session
+	warm    bool      // a pool hit, not a cold solve
+	solves  int64     // warm re-solves the session has served
+	solver  sat.Stats // this call's effort delta
+}
+
+// withSession answers a configuration request through the warm-session
+// pool and lends the answer and its session to use before the session
+// goes back. It is the one way into the pool, for configure, deploy and
+// stack writes alike: a hit rebuilds from the session's retained,
+// already-proven model — zero solver effort, strictly fewer propagations
+// than the cold search — while a miss solves cold and donates the fresh
+// session on the way out. The session is exclusively the request's while
+// use runs; an error or a panic before the end, in use included, leaves
+// it in an unknown state: discarded, never pooled again.
+func (s *Server) withSession(p *spec.Partial, use func(c configured) error) error {
 	key, err := s.requestKey(p)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if ps := s.pool.Checkout(key); ps != nil {
-		ok := false
-		defer func() {
-			// A panic (or any error) mid-solve leaves the solver stack
-			// in an unknown state: discard, never re-pool.
-			if ok {
-				s.pool.Return(ps)
-			} else {
-				s.pool.Discard(ps)
-			}
-		}()
+	ps := s.pool.Checkout(key)
+	ok := false
+	defer func() {
+		if ok {
+			s.pool.Return(ps)
+		} else {
+			s.pool.Discard(ps)
+		}
+	}()
+	c := configured{warm: ps != nil}
+	if c.warm {
 		if s.panicOn != nil {
 			s.panicOn("configure.warm")
 		}
-		full, st, err := ps.Session.Resolve(s.engine(), ps.Partial)
-		if err != nil {
+		if c.full, c.solver, err = ps.Session.Resolve(s.engine(), ps.Partial); err != nil {
 			// The pooled session already proved this exact partial once;
 			// failing to rebuild it is resident-state corruption, not a
 			// client error.
-			return nil, internalError{err}
+			return internalError{err}
 		}
 		ps.Solves++
-		ok = true
-		return &configureResponse{
-			Full:      full,
-			Instances: len(full.Instances),
-			Lines:     spec.LineCount(full),
-			Warm:      true,
-			Solves:    ps.Solves,
-			Solver:    toSolverStats(st),
-		}, nil
+	} else {
+		var sess *config.Session
+		if c.full, sess, c.solver, err = s.engine().ConfigureSessionStats(p); err != nil {
+			return err
+		}
+		ps = &PooledSession{Key: key, Partial: p, Session: sess}
 	}
-	full, sess, st, err := s.engine().ConfigureSessionStats(p)
+	c.session, c.solves = ps.Session, ps.Solves
+	err = use(c)
+	ok = err == nil
+	return err
+}
+
+// configureOn is withSession for a request that needs only the answer.
+func (s *Server) configureOn(p *spec.Partial) (*configureResponse, error) {
+	var c configured
+	err := s.withSession(p, func(lent configured) error {
+		c = lent
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	s.pool.Return(&PooledSession{Key: key, Partial: p, Session: sess})
 	return &configureResponse{
-		Full:      full,
-		Instances: len(full.Instances),
-		Lines:     spec.LineCount(full),
-		Solver:    toSolverStats(st),
+		Full:      c.full,
+		Instances: len(c.full.Instances),
+		Lines:     spec.LineCount(c.full),
+		Warm:      c.warm,
+		Solves:    c.solves,
+		Solver:    toSolverStats(c.solver),
 	}, nil
 }
 
@@ -435,6 +458,10 @@ type stackApplyResponse struct {
 	StackVersion int    `json:"stack_version"`
 	Instances    int    `json:"instances"`
 	Status       string `json:"status"`
+	// Warm reports that the desired state came from a pooled session and
+	// not from a cold solve. Last, so the fields before it stay where
+	// clients reading the head of the body expect them.
+	Warm bool `json:"warm"`
 }
 
 // driftJSON / roundJSON mirror stack.Drift and stack.RoundReport in the
@@ -504,25 +531,40 @@ func (s *Server) stackApply(w http.ResponseWriter, name string, req *stackPostRe
 		return
 	}
 
-	if s.panicOn != nil {
-		s.panicOn("stack.apply")
-	}
-	if e.applied == nil {
-		// Fresh apply (or a record reloaded from a state file whose
-		// live world died with the previous process): build a world.
-		world := machine.NewWorld()
-		ctl := &stack.Controller{Options: s.deployOptions(world)}
-		a, err := ctl.Apply(name, req.Partial)
-		if err != nil {
-			writeConfigureError(w, err)
-			return
+	// The desired state comes through the pool like any configuration
+	// request: re-applying a partial the server has proven before — this
+	// stack's previous variant, or another stack's — is a warm hit. The
+	// session is the request's only until the apply is done; the entry
+	// keeps the partial, not the session.
+	warm := false
+	err := s.withSession(req.Partial, func(c configured) error {
+		if s.panicOn != nil {
+			s.panicOn("stack.apply")
 		}
-		e.world, e.applied = world, a
-	} else {
-		if err := e.applied.Reapply(req.Partial); err != nil {
-			writeConfigureError(w, err)
-			return
+		warm = c.warm
+		if e.applied == nil {
+			// Fresh apply (or a record reloaded from a state file whose
+			// live world died with the previous process): build a world.
+			world := machine.NewWorld()
+			ctl := &stack.Controller{Options: s.deployOptions(world)}
+			a, err := ctl.ApplyConfigured(name, c.full)
+			if err != nil {
+				return err
+			}
+			e.world, e.applied, e.partial = world, a, req.Partial
+			return nil
 		}
+		err := e.applied.ReapplyConfigured(c.full)
+		if e.applied.Stack.Desired == c.full {
+			// The remembered partial follows the desired state, also
+			// when recording the bindings failed after the switch.
+			e.partial = req.Partial
+		}
+		return err
+	})
+	if err != nil {
+		writeConfigureError(w, err)
+		return
 	}
 
 	snap, err := cloneStack(e.applied.Stack)
@@ -549,6 +591,7 @@ func (s *Server) stackApply(w http.ResponseWriter, name string, req *stackPostRe
 		StackVersion: e.applied.Stack.Version,
 		Instances:    len(e.applied.Stack.Desired.Instances),
 		Status:       "applied",
+		Warm:         warm,
 	})
 }
 
@@ -579,7 +622,23 @@ func (s *Server) stackReconcile(w http.ResponseWriter, name string, req *stackPo
 	if maxRounds <= 0 {
 		maxRounds = 4
 	}
-	reps, converged := e.applied.ReconcileUntilConverged(maxRounds)
+	// Replanning needs the warm session of the stack's partial; a round
+	// that finds no drift needs none. The session is borrowed from the
+	// pool for the rounds and handed back, so the stack's next re-apply
+	// (or anyone's configure of that partial) still finds it there.
+	var reps []*stack.RoundReport
+	var converged bool
+	if len(e.applied.Verify()) == 0 {
+		reps, converged = e.applied.ReconcileUntilConverged(maxRounds)
+	} else if err := s.withSession(e.partial, func(c configured) error {
+		e.applied.Session = c.session
+		defer func() { e.applied.Session = nil }()
+		reps, converged = e.applied.ReconcileUntilConverged(maxRounds)
+		return nil
+	}); err != nil {
+		writeConfigureError(w, err)
+		return
+	}
 
 	snap, err := cloneStack(e.applied.Stack)
 	if err != nil {

@@ -11,7 +11,7 @@
 //     (the per-call sat.Stats delta carried in the response).
 //
 // The harness is a library, not a test, so the CLI e2e test, the root
-// load test (which emits BENCH_serve.json), and future soaks share it.
+// load test, and future soaks share it.
 package loadtest
 
 import (

@@ -94,9 +94,9 @@ type Server struct {
 	requests atomic.Int64
 
 	// stacks holds the live side of each store record: the world the
-	// stack runs on, its warm session, deployment, and monitor. The
-	// per-entry mutex serializes apply/reconcile on one stack while
-	// distinct stacks proceed in parallel.
+	// stack runs on, its deployment and monitor. The per-entry mutex
+	// serializes apply/reconcile on one stack while distinct stacks
+	// proceed in parallel.
 	stacksMu sync.Mutex
 	stacks   map[string]*stackEntry
 
@@ -108,10 +108,14 @@ type Server struct {
 
 // stackEntry is one stack's live state. applied stays nil for records
 // reloaded from a state file until the next apply recreates the world.
+// partial is the partial specification of the last successful apply: the
+// pool owns the warm sessions, and a reconcile borrows the stack's by
+// this (applied.Session is nil between requests).
 type stackEntry struct {
 	mu      sync.Mutex
 	world   *machine.World
 	applied *stack.Applied
+	partial *spec.Partial
 }
 
 // New builds a server over the given options.

@@ -20,7 +20,9 @@ import (
 // Session is the warm state retained by ConfigureSession: the
 // dependency hypergraph, the encoded constraint problem, the
 // incremental solver session, and the model the returned specification
-// was built from.
+// was built from. Model is always the model proven for the un-pinned
+// request: it is what Resolve rebuilds from, so a session answers its
+// request with the same bytes whatever it was lent out for in between.
 type Session struct {
 	Graph   *hypergraph.Graph
 	Problem *constraint.Problem
@@ -115,7 +117,9 @@ func (s *Session) Resolve(e *Engine, partial *spec.Partial) (*spec.Full, sat.Sta
 // configuration still extends to a full one; the warm session makes
 // the proof cheap when the pins cover most of the fleet (only the
 // unpinned cone is genuinely re-searched). Unknown IDs are an error so
-// a stale desired-state record cannot silently pin nothing.
+// a stale desired-state record cannot silently pin nothing. The pinned
+// model is the caller's to read from the result; Session.Model is left
+// alone (see Session).
 func (s *Session) SolvePinned(ids []string) (sat.Result, error) {
 	assumps := make([]sat.Lit, 0, len(ids))
 	for _, id := range ids {
@@ -125,11 +129,7 @@ func (s *Session) SolvePinned(ids []string) (sat.Result, error) {
 		}
 		assumps = append(assumps, sat.Lit(v))
 	}
-	res := s.Inc.SolveAssuming(assumps)
-	if res.Status == sat.Sat {
-		s.Model = res.Model
-	}
-	return res, nil
+	return s.Inc.SolveAssuming(assumps), nil
 }
 
 // Selected maps a model back to the selected instance IDs (the

@@ -131,8 +131,14 @@ func (c *Controller) engine() *config.Engine {
 // deployment, the warm configuration session (for minimal-delta
 // replans), and the monitor over the stack's daemons.
 type Applied struct {
-	Stack   *Stack
-	Dep     *deploy.Deployment
+	Stack *Stack
+	Dep   *deploy.Deployment
+	// Session is the warm session of the stack's partial specification;
+	// Reconcile replans on it when it finds drift. Apply and Reapply set
+	// it to the session they configured on. A caller that owns its
+	// sessions elsewhere (the control plane's pool) uses the Configured
+	// forms, which leave it nil, and lends one for the duration of a
+	// reconcile.
 	Session *config.Session
 	Monitor *monitor.Monitor
 	// Health schedules the probes declared by the stack's resource types
@@ -155,6 +161,17 @@ func (c *Controller) Apply(name string, partial *spec.Partial) (*Applied, error)
 	if err != nil {
 		return nil, err
 	}
+	a, err := c.ApplyConfigured(name, full)
+	if err != nil {
+		return nil, err
+	}
+	a.Session = sess
+	return a, nil
+}
+
+// ApplyConfigured is Apply for a caller that has already configured the
+// stack's partial specification: full is deployed and recorded as is.
+func (c *Controller) ApplyConfigured(name string, full *spec.Full) (*Applied, error) {
 	dep, err := deploy.New(full, c.Options)
 	if err != nil {
 		return nil, err
@@ -163,10 +180,9 @@ func (c *Controller) Apply(name string, partial *spec.Partial) (*Applied, error)
 		return nil, err
 	}
 	a := &Applied{
-		Stack:   &Stack{Name: name, Version: 1, Desired: full, Bindings: map[string]Binding{}},
-		Dep:     dep,
-		Session: sess,
-		ctl:     c,
+		Stack: &Stack{Name: name, Version: 1, Desired: full, Bindings: map[string]Binding{}},
+		Dep:   dep,
+		ctl:   c,
 	}
 	a.Health = health.NewChecker(c.Options.World.Clock)
 	a.Health.Tracer = c.Options.Tracer
@@ -191,11 +207,25 @@ func (c *Controller) Apply(name string, partial *spec.Partial) (*Applied, error)
 // framework's completes-or-rolls-back contract) and the old record
 // kept.
 func (a *Applied) Reapply(partial *spec.Partial) error {
-	c := a.ctl
-	full, sess, err := c.engine().ConfigureSession(partial)
+	full, sess, err := a.ctl.engine().ConfigureSession(partial)
 	if err != nil {
 		return err
 	}
+	err = a.ReapplyConfigured(full)
+	if a.Stack.Desired == full {
+		// The session goes with the desired state it configured, also
+		// when recording the bindings failed after the switch.
+		a.Session = sess
+	}
+	return err
+}
+
+// ReapplyConfigured is Reapply for a caller that has already configured
+// the new partial specification to full. Whatever it returns,
+// a.Stack.Desired == full afterwards exactly when the stack switched to
+// the new desired state.
+func (a *Applied) ReapplyConfigured(full *spec.Full) error {
+	c := a.ctl
 	plan := upgrade.PlanIncremental(a.Stack.Desired, full)
 	changed := len(plan.AffectedOld)+len(plan.AffectedNew) > 0
 	u := &upgrade.Upgrader{Options: c.Options}
@@ -208,7 +238,6 @@ func (a *Applied) Reapply(partial *spec.Partial) error {
 		return fmt.Errorf("stack %q: apply rolled back: %v", a.Stack.Name, res.Cause)
 	}
 	a.Dep = newDep
-	a.Session = sess
 	a.Stack.Desired = full
 	if changed {
 		a.Stack.Version++
