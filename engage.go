@@ -188,10 +188,11 @@ type System struct {
 	Cache    *pkgmgr.Cache
 	// Parallel enables virtual-time parallel deployment.
 	Parallel bool
-	// Parallelism bounds the real (wall-clock) worker pools across the
-	// whole pipeline: hypergraph generation, constraint emission, the
-	// SAT portfolio width, spec build and port propagation, and
-	// deployment preparation. ≤ 0 runs the sequential reference path.
+	// Parallelism ≥ 1 selects the scale path: memoised hypergraph
+	// generation, constraint emission and deployment preparation over
+	// worker pools of that width, and a SAT portfolio of that many
+	// workers whose model is canonicalized. ≤ 0 runs the paper's
+	// uncached generator and one plain solve.
 	Parallelism int
 	// OnFailure selects what a failing deployment does: abort (default),
 	// retry with backoff, or retry then roll the world back.

@@ -94,7 +94,10 @@ func testDrivers(t testing.TB) *deploy.DriverRegistry {
 
 // newTestServer builds a control plane over testRDL with a pinned
 // clock, so status responses are deterministic.
-func newTestServer(t testing.TB) *Server {
+func newTestServer(t testing.TB) *Server { return newTestServerAt(t, 0) }
+
+// newTestServerAt is newTestServer at the given Options.Parallelism.
+func newTestServerAt(t testing.TB, parallelism int) *Server {
 	t.Helper()
 	reg, err := rdl.ParseAndResolve(map[string]string{"api_test.rdl": testRDL})
 	if err != nil {
@@ -102,9 +105,10 @@ func newTestServer(t testing.TB) *Server {
 	}
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	s, err := New(Options{
-		Registry: reg,
-		Drivers:  testDrivers(t),
-		Now:      func() time.Time { return epoch },
+		Registry:    reg,
+		Drivers:     testDrivers(t),
+		Parallelism: parallelism,
+		Now:         func() time.Time { return epoch },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -349,17 +353,7 @@ func TestStackApplyCASAndReconcile(t *testing.T) {
 	}
 
 	// Inject real drift into the live world, then reconcile over HTTP.
-	e := s.entry("web")
-	plan := fault.NewPlan(7).DriftWithProbability(1)
-	drifted := 0
-	for _, target := range e.applied.DriftTargets() {
-		if _, ok := plan.InjectDrift(target); ok {
-			drifted++
-		}
-	}
-	if drifted == 0 {
-		t.Fatal("drift injection touched nothing")
-	}
+	injectDrift(t, s, "web")
 	st, resp, _ = do(t, h, "POST", "/v1/stacks/web",
 		body(t, map[string]any{"action": "reconcile", "expect_version": 2}))
 	if st != http.StatusOK {

@@ -74,7 +74,9 @@ type Options struct {
 	// PoolIdle caps idle warm sessions per request shape (default 4).
 	PoolIdle int
 	// Parallelism is handed to every engine and deployment the server
-	// builds; 0 is the sequential deterministic path.
+	// builds (see config.Engine.Parallelism and
+	// deploy.Options.Parallelism); 0 is the paper's uncached generator
+	// and one plain solve.
 	Parallelism int
 	// Now stamps uptime in /v1/status; nil uses time.Now. Tests pin it.
 	Now func() time.Time

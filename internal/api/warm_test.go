@@ -8,12 +8,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 
 	"engage/internal/config"
 	"engage/internal/fault"
+	"engage/internal/resource"
 	"engage/internal/spec"
 )
 
@@ -60,6 +63,22 @@ func configurePayloadOf(t testing.TB, h http.Handler, p *spec.Partial) (warm boo
 		t.Fatalf("configure: status %d: %s", st, raw)
 	}
 	return resp["warm"].(bool), payloadOf(resp)
+}
+
+// injectDrift damages every drift target of the named stack's live
+// deployment behind the API's back.
+func injectDrift(t testing.TB, s *Server, name string) {
+	t.Helper()
+	plan := fault.NewPlan(7).DriftWithProbability(1)
+	drifted := 0
+	for _, target := range s.entry(name).applied.DriftTargets() {
+		if _, ok := plan.InjectDrift(target); ok {
+			drifted++
+		}
+	}
+	if drifted == 0 {
+		t.Fatal("drift injection touched nothing")
+	}
 }
 
 // Re-applying alternating variants: each variant is solved cold once,
@@ -144,7 +163,18 @@ func TestApplyBorrowsByPartial(t *testing.T) {
 // pinned replan and hands it back unchanged: the next configure of that
 // partial is a hit and answers with a cold server's bytes.
 func TestReconcileBorrowsAndReturnsSession(t *testing.T) {
-	s := newTestServer(t)
+	// At Parallelism 1 the borrowed session carries the canonicaliser's
+	// unit clauses; pinning the healthy part of its own model must
+	// stay satisfiable.
+	for _, parallelism := range []int{0, 1} {
+		t.Run(fmt.Sprintf("P=%d", parallelism), func(t *testing.T) {
+			testReconcileBorrowsAndReturnsSession(t, parallelism)
+		})
+	}
+}
+
+func testReconcileBorrowsAndReturnsSession(t *testing.T, parallelism int) {
+	s := newTestServerAt(t, parallelism)
 	h := s.Handler()
 	mustApply(t, h, "web", choicePartial())
 
@@ -157,17 +187,7 @@ func TestReconcileBorrowsAndReturnsSession(t *testing.T) {
 		t.Fatalf("clean reconcile moved the pool: %+v", ps)
 	}
 
-	e := s.entry("web")
-	plan := fault.NewPlan(7).DriftWithProbability(1)
-	drifted := 0
-	for _, target := range e.applied.DriftTargets() {
-		if _, ok := plan.InjectDrift(target); ok {
-			drifted++
-		}
-	}
-	if drifted == 0 {
-		t.Fatal("drift injection touched nothing")
-	}
+	injectDrift(t, s, "web")
 	st, resp, raw = do(t, h, "POST", "/v1/stacks/web", body(t, map[string]any{"action": "reconcile"}))
 	if st != http.StatusOK || resp["converged"] != true {
 		t.Fatalf("reconcile after drift: status %d: %s", st, raw)
@@ -179,7 +199,7 @@ func TestReconcileBorrowsAndReturnsSession(t *testing.T) {
 	if ps := s.PoolStats(); ps.Hits != 1 || ps.Misses != 1 || ps.Idle != 1 || ps.Discards != 0 {
 		t.Errorf("pool after the borrowing reconcile = %+v, want 1 hit / 1 miss / 1 idle", ps)
 	}
-	if e.applied.Session != nil {
+	if s.entry("web").applied.Session != nil {
 		t.Error("the lent session was not handed back")
 	}
 
@@ -187,7 +207,7 @@ func TestReconcileBorrowsAndReturnsSession(t *testing.T) {
 	if !warm {
 		t.Error("configure after the reconcile went cold: the session did not return to the pool")
 	}
-	_, want := configurePayloadOf(t, newTestServer(t).Handler(), choicePartial())
+	_, want := configurePayloadOf(t, newTestServerAt(t, parallelism).Handler(), choicePartial())
 	if !bytes.Equal(got, want) {
 		t.Errorf("configure after a drift repair differs from a cold server's answer:\ngot:  %s\nwant: %s", got, want)
 	}
@@ -250,5 +270,102 @@ func TestSoakSharedPartial(t *testing.T) {
 			}
 			seen[idle.Session] = true
 		}
+	}
+}
+
+// Options.Parallelism reaches every configuration the server performs,
+// the session path included: a server built at 1 answers with the
+// canonical model config.Engine{Parallelism: 1} picks (Db 2.0 here,
+// where the plain solve picks Db 1.0), cold and warm alike.
+func TestParallelismReachesSessions(t *testing.T) {
+	s := newTestServerAt(t, 1)
+	eng := config.New(s.opts.Registry)
+	eng.Parallelism = 1
+	full, err := eng.Configure(choicePartial())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want any
+	if data, err := json.Marshal(full); err != nil || json.Unmarshal(data, &want) != nil {
+		t.Fatalf("engine's answer does not round-trip through JSON: %v", err)
+	}
+	for _, leg := range []string{"cold", "warm"} {
+		st, resp, raw := do(t, s.Handler(), "POST", "/v1/configure", configureBody(t, choicePartial()))
+		if st != http.StatusOK || resp["warm"] != (leg == "warm") {
+			t.Fatalf("%s configure: status %d warm=%v: %s", leg, st, resp["warm"], raw)
+		}
+		if !reflect.DeepEqual(resp["full"], want) {
+			t.Errorf("%s configure at Parallelism 1 differs from the engine's answer:\ngot:  %v\nwant: %v", leg, resp["full"], want)
+		}
+	}
+}
+
+// Eight clients submit the three bundled-library stacks (each with an
+// abstract choice, so a cold solve does real search) at once: every
+// body is answered both cold and warm, every warm answer reports
+// strictly fewer propagations than every cold answer of the same body,
+// and the pool's hit/miss counters are exactly the responses' warm
+// flags. Throughput is the benchmark's to measure (bench/, serve_warm).
+func TestConcurrentConfigureWarmBeatsCold(t *testing.T) {
+	s, err := NewBundled(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	stack := func(os, osVer, tomcat, app, appVer string) []byte {
+		p := &spec.Partial{}
+		p.Add("server", resource.MakeKey(os, osVer))
+		p.Add("tomcat", resource.MakeKey("Tomcat", tomcat)).In("server")
+		p.Add("app", resource.MakeKey(app, appVer)).In("tomcat")
+		return configureBody(t, p)
+	}
+	bodies := [][]byte{
+		stack("Mac-OSX", "10.6", "6.0.18", "OpenMRS", "1.8"),
+		stack("Ubuntu", "12.04", "6.0.18", "JasperReports", "4.5"),
+		stack("Ubuntu", "10.04", "5.5", "OpenMRS", "1.8"),
+	}
+
+	const clients, rounds = 8, 3
+	var mu sync.Mutex
+	var warm, cold int64
+	maxWarm := []float64{-1, -1, -1}
+	minCold := []float64{math.Inf(1), math.Inf(1), math.Inf(1)}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for b, payload := range bodies {
+					st, resp, raw := do(t, h, "POST", "/v1/configure", payload)
+					if st != http.StatusOK {
+						t.Errorf("body %d: status %d: %s", b, st, raw)
+						continue
+					}
+					props := resp["solver"].(map[string]any)["propagations"].(float64)
+					mu.Lock()
+					if resp["warm"].(bool) {
+						warm++
+						maxWarm[b] = math.Max(maxWarm[b], props)
+					} else {
+						cold++
+						minCold[b] = math.Min(minCold[b], props)
+					}
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	for b := range bodies {
+		if maxWarm[b] < 0 || math.IsInf(minCold[b], 1) {
+			t.Errorf("body %d: need both paths exercised, got warm max %v, cold min %v", b, maxWarm[b], minCold[b])
+		} else if maxWarm[b] >= minCold[b] {
+			t.Errorf("body %d: warm propagations up to %v, not strictly below the cheapest cold solve's %v", b, maxWarm[b], minCold[b])
+		}
+	}
+	if ps := s.PoolStats(); ps.Hits != warm || ps.Misses != cold {
+		t.Errorf("pool accounting (hits=%d misses=%d) disagrees with responses (warm=%d cold=%d)", ps.Hits, ps.Misses, warm, cold)
 	}
 }

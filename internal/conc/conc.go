@@ -1,10 +1,7 @@
-// Package conc holds the one concurrency primitive the parallel
-// pipeline stages share: a bounded worker pool over an index space.
-// Hypergraph generation, constraint emission, spec build, port
-// propagation, and deploy-plan construction all fan out the same way —
-// n independent items, w workers pulling the next index from an atomic
-// counter — so the pool lives here once instead of as per-package
-// copies.
+// Package conc holds the one concurrency primitive constraint emission
+// and deploy-plan construction share: a bounded worker pool over an
+// index space — n independent items, w workers pulling the next index
+// from an atomic counter.
 package conc
 
 import (

@@ -1,8 +1,6 @@
 package config
 
 import (
-	"engage/internal/constraint"
-	"engage/internal/hypergraph"
 	"engage/internal/sat"
 	"engage/internal/spec"
 )
@@ -20,36 +18,29 @@ import (
 //
 // A limit ≤ 0 enumerates everything; the solution count is bounded by
 // the product of the disjunction widths, so bound it for large stacks.
-func (e *Engine) Alternatives(partial *spec.Partial, limit int) ([]*spec.Full, error) {
+func (e *Engine) Alternatives(partial *spec.Partial, limit int) (alts []*spec.Full, err error) {
 	root := e.Tracer.Span("config.alternatives")
-	defer root.End()
-	g, err := hypergraph.Generate(e.Registry, partial)
+	var st Stats
+	defer func() { e.end(root, st, err) }()
+	g, prob, err := e.front(root, partial, &st)
 	if err != nil {
 		return nil, err
 	}
-	prob := constraint.Encode(g, e.Encoding)
-	solver := e.Solver
-	if solver == nil {
-		solver = sat.NewCDCL()
-	}
 
-	// Project onto the instance variables only (the ladder encoding's
+	// Enumeration needs every model reachable, so it always runs on a
+	// plain session (the parallel first solve commits to one), and
+	// projects onto the instance variables only (the ladder encoding's
 	// auxiliaries must not multiply solutions).
-	project := make([]int, 0, g.Len())
-	for _, id := range g.Order {
-		project = append(project, prob.VarOf[id])
-	}
-
-	inc := sat.Observe(sat.StartIncremental(solver, prob.Formula), e.observeSolves(root))
-	models, _ := sat.EnumerateModelsOn(inc, prob.Formula, project, limit)
+	inc := sat.Observe(sat.StartIncremental(e.solver(), prob.Formula), e.observeSolves(root))
+	models, _ := sat.EnumerateModelsOn(inc, prob.Formula, instanceVars(g, prob), limit)
 	root.Int("models", int64(len(models)))
-	out := make([]*spec.Full, 0, len(models))
+	alts = make([]*spec.Full, 0, len(models))
 	for _, model := range models {
-		full, err := e.build(g, partial, prob.Selected(model))
+		full, err := e.finish(root, g, prob, model, &st)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, full)
+		alts = append(alts, full)
 	}
-	return out, nil
+	return alts, nil
 }

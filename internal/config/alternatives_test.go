@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"engage/internal/testlib"
+	"engage/internal/typecheck"
 )
 
 // TestAlternativesOpenMRS: the §2 constraint system has exactly two
@@ -46,6 +47,9 @@ func TestAlternativesOpenMRS(t *testing.T) {
 		om := alt.MustFind("openmrs")
 		if _, ok := om.Output["url"]; !ok {
 			t.Errorf("alternative %d missing propagated output", i)
+		}
+		if err := typecheck.CheckSpec(reg, alt); err != nil {
+			t.Errorf("alternative %d fails static checking: %v", i, err)
 		}
 	}
 }

@@ -9,7 +9,6 @@ package config
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -33,32 +32,24 @@ type Engine struct {
 	Registry *resource.Registry
 	Solver   sat.Solver
 	Encoding constraint.Encoding
-	// SkipCheck disables the final CheckSpec pass (used only by
-	// benchmarks isolating solver cost).
-	SkipCheck bool
-	// Parallelism governs the whole pipeline: it bounds the worker
-	// pools for hypergraph generation and constraint emission, sets the
-	// portfolio width for SAT solving, and bounds the worker pools for
-	// spec build and port propagation. Values ≤ 0 run the sequential
-	// reference path. The front half's output is byte-identical at any
-	// parallelism; the back half solves through a racing portfolio
-	// whose winning model is canonicalized, so the full specification
-	// is byte-identical at any parallelism ≥ 1 (and, after
-	// canonicalization, to the sequential solver's canonicalized model
-	// — see internal/workload's differential suites). Note the
-	// sequential path (0) skips canonicalization and may therefore pick
-	// a different — equally valid — model than parallel runs.
+	// Parallelism ≥ 1 selects the scale path: hypergraph generation on
+	// the memoised resolver, constraint emission over a worker pool of
+	// that width, and — with the CDCL solver — a racing portfolio of
+	// that many workers whose winning model is canonicalized, so the
+	// full specification is byte-identical at any parallelism ≥ 1 (see
+	// internal/workload's differential suites). Values ≤ 0 run the
+	// paper's uncached generator and one plain solve, which skips
+	// canonicalization and may therefore pick a different — equally
+	// valid — model. Build and port propagation are one serial walk at
+	// every value.
 	Parallelism int
-	// MeasureAllocs additionally fills the per-stage allocation
-	// counters in Stats via runtime.ReadMemStats deltas. Off by
-	// default: ReadMemStats stops the world.
-	MeasureAllocs bool
 	// Tracer, when non-nil, receives one span per pipeline stage
 	// (config.graph / config.encode / config.solve / config.build under
-	// a "config" root), wave and shard progress events, and one
-	// "sat.solve" event per incremental re-solve in Alternatives and
-	// ConfigureMinimal. For these stages wall time is authoritative —
-	// nothing advances the virtual clock during configuration.
+	// the entry point's root: "config", "config.session",
+	// "config.minimal" or "config.alternatives") and one "sat.solve"
+	// event per incremental re-solve on the session. For these stages
+	// wall time is authoritative — nothing advances the virtual clock
+	// during configuration.
 	Tracer *telemetry.Tracer
 	// Metrics, when non-nil, absorbs Stats (see Stats.Publish) plus
 	// per-solve solver effort counters.
@@ -90,47 +81,11 @@ type Stats struct {
 	Solver     sat.Stats
 	// Per-stage wall clock: hypergraph generation, constraint
 	// encoding, SAT solving (portfolio + canonicalization when
-	// parallel), and build+propagate+check. PropagateWall is the port
-	// propagation slice of BuildWall, broken out so the back-half
-	// benches can report it separately.
-	GraphWall     time.Duration
-	EncodeWall    time.Duration
-	SolveWall     time.Duration
-	BuildWall     time.Duration
-	PropagateWall time.Duration
-	// Per-stage heap allocation deltas (bytes), filled only when
-	// Engine.MeasureAllocs is set.
-	GraphAlloc  uint64
-	EncodeAlloc uint64
-	SolveAlloc  uint64
-	BuildAlloc  uint64
-}
-
-// stageMeter times one pipeline stage and, optionally, its allocations.
-type stageMeter struct {
-	measureAllocs bool
-	start         time.Time
-	startAlloc    uint64
-}
-
-func startStage(measureAllocs bool) stageMeter {
-	m := stageMeter{measureAllocs: measureAllocs}
-	if measureAllocs {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		m.startAlloc = ms.TotalAlloc
-	}
-	m.start = time.Now()
-	return m
-}
-
-func (m stageMeter) stop(wall *time.Duration, alloc *uint64) {
-	*wall = time.Since(m.start)
-	if m.measureAllocs {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		*alloc = ms.TotalAlloc - m.startAlloc
-	}
+	// parallel), and build+propagate+check.
+	GraphWall  time.Duration
+	EncodeWall time.Duration
+	SolveWall  time.Duration
+	BuildWall  time.Duration
 }
 
 // UnsatError is returned when no full installation specification extends
@@ -187,104 +142,98 @@ func (e *Engine) Configure(partial *spec.Partial) (*spec.Full, error) {
 // ConfigureStats is Configure with effort statistics.
 func (e *Engine) ConfigureStats(partial *spec.Partial) (full *spec.Full, st Stats, err error) {
 	root := e.Tracer.Span("config")
-	defer func() {
-		if err != nil {
-			root.Str("error", err.Error())
-		}
-		root.Int("graph_nodes", int64(st.GraphNodes)).
-			Int("graph_edges", int64(st.GraphEdges)).
-			Int("vars", int64(st.Vars)).
-			Int("clauses", int64(st.Clauses)).
-			End()
-		st.Publish(e.Metrics)
-	}()
+	defer func() { e.end(root, st, err) }()
+	g, prob, err := e.front(root, partial, &st)
+	if err != nil {
+		return nil, st, err
+	}
+	// The session is dropped here, not held through finish: the
+	// portfolio winner's solver state is the largest thing the pipeline
+	// allocates, and build + CheckSpec have no use for it.
+	_, model, err := e.solve(root, g, prob, partial, &st)
+	if err != nil {
+		return nil, st, err
+	}
+	full, err = e.finish(root, g, prob, model, &st)
+	return full, st, err
+}
 
+// front, solve and finish are the only pipeline: every entry point is
+// some of them in order. front runs GraphGen and constraint
+// generation, each under its span and timed into st.
+func (e *Engine) front(root *telemetry.Span, partial *spec.Partial, st *Stats) (*hypergraph.Graph, *constraint.Problem, error) {
 	sp := root.Child("config.graph")
-	m := startStage(e.MeasureAllocs)
-	g, err := hypergraph.GenerateOpts(e.Registry, partial, hypergraph.Options{Parallelism: e.Parallelism, Span: sp})
-	m.stop(&st.GraphWall, &st.GraphAlloc)
+	start := time.Now()
+	g, err := hypergraph.GenerateOpts(e.Registry, partial, hypergraph.Options{Parallelism: e.Parallelism})
+	st.GraphWall = time.Since(start)
 	if err != nil {
 		sp.End()
-		return nil, st, err
+		return nil, nil, err
 	}
 	st.GraphNodes = g.Len()
 	st.GraphEdges = len(g.Edges)
 	sp.Int("nodes", int64(st.GraphNodes)).Int("edges", int64(st.GraphEdges)).End()
 
 	sp = root.Child("config.encode")
-	m = startStage(e.MeasureAllocs)
-	var prob *constraint.Problem
-	if e.Parallelism > 0 {
-		prob = constraint.EncodeParallelTraced(g, e.Encoding, e.Parallelism, sp)
-	} else {
-		prob = constraint.Encode(g, e.Encoding)
-	}
-	m.stop(&st.EncodeWall, &st.EncodeAlloc)
+	start = time.Now()
+	prob := constraint.EncodeParallel(g, e.Encoding, e.Parallelism)
+	st.EncodeWall = time.Since(start)
 	st.Vars = prob.Formula.NumVars
 	st.Clauses = len(prob.Formula.Clauses)
 	sp.Int("vars", int64(st.Vars)).Int("clauses", int64(st.Clauses)).End()
+	return g, prob, nil
+}
 
-	solver := e.Solver
-	if solver == nil {
-		solver = sat.NewCDCL()
+func (e *Engine) solver() sat.Solver {
+	if e.Solver == nil {
+		return sat.NewCDCL()
 	}
-	_, isCDCL := solver.(*sat.CDCL)
-	sp = root.Child("config.solve").Str("solver", solver.Name())
-	m = startStage(e.MeasureAllocs)
+	return e.Solver
+}
+
+// solve runs the first solve and returns the session it ran on with
+// the model it proved. At Parallelism ≥ 1 (CDCL only) that is a racing
+// portfolio whose winning model is canonicalized on the winner's
+// session — which leaves the session strengthened with one unit clause
+// per instance variable: still satisfiable under any pinning of the
+// returned model, but with no other model left to enumerate. Otherwise
+// it is one plain solve on a fresh session.
+func (e *Engine) solve(root *telemetry.Span, g *hypergraph.Graph, prob *constraint.Problem, partial *spec.Partial, st *Stats) (sat.IncrementalSolver, []bool, error) {
+	solver := e.solver()
+	sp := root.Child("config.solve").Str("solver", solver.Name())
+	start := time.Now()
+	var inc sat.IncrementalSolver
 	var res sat.Result
-	var solveErr error
-	if e.Parallelism > 0 && isCDCL {
-		// Portfolio solve: Parallelism diversified workers race on the
-		// formula; the winning model is canonicalized on the winner's
-		// warm session so the answer is deterministic regardless of
-		// which worker won (and of the portfolio width).
-		res, solveErr = e.solvePortfolio(g, prob, sp)
+	var err error
+	if _, isCDCL := solver.(*sat.CDCL); e.Parallelism > 0 && isCDCL {
+		inc, res, err = e.solvePortfolio(g, prob, sp)
 	} else {
-		res = solver.Solve(prob.Formula)
+		inc = sat.StartIncremental(solver, prob.Formula)
+		res = inc.SolveAssuming(nil)
 	}
-	m.stop(&st.SolveWall, &st.SolveAlloc)
+	st.SolveWall = time.Since(start)
 	st.Solver = res.Stats
 	spanSolverStats(sp, res).End()
-	if solveErr != nil {
-		return nil, st, solveErr
+	if err != nil {
+		return nil, nil, err
 	}
 	switch res.Status {
 	case sat.Sat:
+		return sat.Observe(inc, e.observeSolves(root)), res.Model, nil
 	case sat.Unsat:
-		return nil, st, e.unsatError(g, root, partial)
+		return nil, nil, e.unsatError(g, root, partial)
 	default:
-		return nil, st, fmt.Errorf("config: solver %q gave up", solver.Name())
+		return nil, nil, fmt.Errorf("config: solver %q gave up", solver.Name())
 	}
-
-	sp = root.Child("config.build")
-	m = startStage(e.MeasureAllocs)
-	selected := prob.Selected(res.Model)
-	full, bt, err := e.buildOpts(g, partial, selected, e.Parallelism, sp)
-	st.PropagateWall = bt.propagate
-	if err != nil {
-		m.stop(&st.BuildWall, &st.BuildAlloc)
-		sp.End()
-		return nil, st, err
-	}
-	if !e.SkipCheck {
-		if err := checkAfterBuild(e, full); err != nil {
-			m.stop(&st.BuildWall, &st.BuildAlloc)
-			sp.End()
-			return nil, st, err
-		}
-	}
-	m.stop(&st.BuildWall, &st.BuildAlloc)
-	sp.Int("instances", int64(len(full.Instances))).End()
-	return full, st, nil
 }
 
 // solvePortfolio is the parallel solve stage: a racing portfolio of
 // e.Parallelism CDCL workers followed by canonicalization of the
-// winning model over the instance variables in graph order. It emits
-// one "solve.portfolio" event per worker on sp (the winner's effort,
-// and each loser's effort at the moment the stop flag cancelled it)
-// and stamps the portfolio shape onto sp itself.
-func (e *Engine) solvePortfolio(g *hypergraph.Graph, prob *constraint.Problem, sp *telemetry.Span) (sat.Result, error) {
+// winning model over the instance variables in graph order, on the
+// winner's session. It emits one "solve.portfolio" event per worker on
+// sp (the winner's effort, and each loser's effort at the moment the
+// stop flag cancelled it) and stamps the portfolio shape onto sp itself.
+func (e *Engine) solvePortfolio(g *hypergraph.Graph, prob *constraint.Problem, sp *telemetry.Span) (sat.IncrementalSolver, sat.Result, error) {
 	pr := sat.SolvePortfolio(prob.Formula, e.Parallelism)
 	for _, w := range pr.Workers {
 		sp.Event("solve.portfolio").
@@ -302,19 +251,57 @@ func (e *Engine) solvePortfolio(g *hypergraph.Graph, prob *constraint.Problem, s
 	res := pr.Result
 	res.Stats = pr.TotalStats() // honest effort: all workers, not just the winner
 	if res.Status != sat.Sat {
-		return res, nil
+		return nil, res, nil
 	}
-	order := make([]int, 0, len(g.Order))
-	for _, id := range g.Order {
-		order = append(order, prob.VarOf[id])
-	}
-	canon, solves, err := sat.CanonicalModel(pr.Session(), res.Model, order)
+	canon, solves, err := sat.CanonicalModel(pr.Session(), res.Model, instanceVars(g, prob))
 	if err != nil {
-		return res, fmt.Errorf("config: canonicalizing portfolio model: %w", err)
+		return nil, res, fmt.Errorf("config: canonicalizing portfolio model: %w", err)
 	}
 	sp.Int("canon_solves", int64(solves))
 	res.Model = canon
-	return res, nil
+	return pr.Session(), res, nil
+}
+
+// instanceVars lists the instance variables in graph order — the
+// projection that leaves the ladder encoding's auxiliaries out.
+func instanceVars(g *hypergraph.Graph, prob *constraint.Problem) []int {
+	vars := make([]int, 0, len(g.Order))
+	for _, id := range g.Order {
+		vars = append(vars, prob.VarOf[id])
+	}
+	return vars
+}
+
+// finish turns a model into the answer: the selected instances built
+// from their graph nodes, port values propagated, and the result
+// statically checked.
+func (e *Engine) finish(root *telemetry.Span, g *hypergraph.Graph, prob *constraint.Problem, model []bool, st *Stats) (*spec.Full, error) {
+	sp := root.Child("config.build")
+	defer sp.End()
+	start := time.Now()
+	defer func() { st.BuildWall += time.Since(start) }()
+	full, err := e.build(g, prob.Selected(model))
+	if err != nil {
+		return nil, err
+	}
+	if err := typecheck.CheckSpec(e.Registry, full); err != nil {
+		return nil, fmt.Errorf("config: generated specification fails static checking: %w", err)
+	}
+	sp.Int("instances", int64(len(full.Instances)))
+	return full, nil
+}
+
+// end closes an entry point's root span and publishes its stats.
+func (e *Engine) end(root *telemetry.Span, st Stats, err error) {
+	if err != nil {
+		root.Str("error", err.Error())
+	}
+	root.Int("graph_nodes", int64(st.GraphNodes)).
+		Int("graph_edges", int64(st.GraphEdges)).
+		Int("vars", int64(st.Vars)).
+		Int("clauses", int64(st.Clauses)).
+		End()
+	st.Publish(e.Metrics)
 }
 
 // spanSolverStats stamps one solve's effort onto a span.
@@ -328,7 +315,7 @@ func spanSolverStats(sp *telemetry.Span, res sat.Result) *telemetry.Span {
 }
 
 // Publish copies the per-call stats into a metrics registry: stage
-// walls/allocs as histograms (one observation per Configure), graph and
+// walls as histograms (one observation per Configure), graph and
 // formula sizes as gauges, and solver effort as counters. A nil
 // registry is ignored, so Stats remains usable standalone while the
 // registry supersedes it as the one pipeline-wide snapshot.
@@ -349,7 +336,6 @@ func (st Stats) Publish(r *telemetry.Registry) {
 	r.Histogram("config.encode_wall_ns").Observe(int64(st.EncodeWall))
 	r.Histogram("config.solve_wall_ns").Observe(int64(st.SolveWall))
 	r.Histogram("config.build_wall_ns").Observe(int64(st.BuildWall))
-	r.Histogram("config.propagate_wall_ns").Observe(int64(st.PropagateWall))
 }
 
 // observeSolves returns a sat.Observe callback emitting one "sat.solve"
@@ -384,25 +370,44 @@ func (e *Engine) observeSolves(sp *telemetry.Span) func([]sat.Lit, sat.Result) {
 	}
 }
 
-// checkAfterBuild validates an engine-generated specification.
-func checkAfterBuild(e *Engine, full *spec.Full) error {
-	if err := typecheck.CheckSpec(e.Registry, full); err != nil {
-		return fmt.Errorf("config: generated specification fails static checking: %w", err)
+// build assembles the full specification from the solved selection —
+// instances in graph order, dependency links in edge order — and
+// propagates port values.
+func (e *Engine) build(g *hypergraph.Graph, selected map[string]bool) (*spec.Full, error) {
+	full := &spec.Full{}
+	byID := make(map[string]*spec.Instance, len(selected))
+	for _, n := range g.Nodes() {
+		if !selected[n.ID] {
+			continue
+		}
+		inst := instanceFromNode(n)
+		full.Instances = append(full.Instances, inst)
+		byID[inst.ID] = inst
 	}
-	return nil
-}
-
-// build assembles the full specification from the solved selection and
-// propagates port values (the sequential reference path; the parallel
-// pipeline goes through buildOpts, see parallel.go).
-func (e *Engine) build(g *hypergraph.Graph, partial *spec.Partial, selected map[string]bool) (*spec.Full, error) {
-	full, _, err := e.buildOpts(g, partial, selected, 0, nil)
-	return full, err
+	for _, edge := range g.Edges {
+		src := byID[edge.Source]
+		if src == nil {
+			continue // source not deployed
+		}
+		target, err := constraint.ChosenTarget(edge, selected)
+		if err != nil {
+			return nil, err
+		}
+		src.Deps = append(src.Deps, spec.DepLink{
+			Class:          edge.Class,
+			Target:         target,
+			PortMap:        edge.PortMap,
+			ReversePortMap: edge.ReversePortMap,
+		})
+	}
+	if err := e.propagate(full, byID); err != nil {
+		return nil, err
+	}
+	return full, nil
 }
 
 // instanceFromNode materializes one selected graph node as a spec
-// instance. Pure per-node work — the parallel build runs it
-// concurrently for distinct nodes.
+// instance.
 func instanceFromNode(n *hypergraph.Node) *spec.Instance {
 	inst := &spec.Instance{
 		ID:      n.ID,
@@ -423,10 +428,7 @@ func instanceFromNode(n *hypergraph.Node) *spec.Instance {
 // instantiation time and may flow in reverse), then a linear pass in
 // topological order filling input ports from upstream outputs, config
 // ports from overrides or defaults, and output ports from their
-// definitions (§4, final paragraph). This is the sequential reference;
-// propagateParallel (parallel.go) runs the same three passes with the
-// first and third fanned out over a worker pool, and falls back to
-// this walk on error so error messages stay identical.
+// definitions (§4, final paragraph).
 func (e *Engine) propagate(full *spec.Full, byID map[string]*spec.Instance) error {
 	// Pass 0: static config and output ports.
 	for _, inst := range full.Instances {
@@ -486,8 +488,7 @@ func (e *Engine) propagateStatic(inst *spec.Instance) error {
 }
 
 // propagateReverse applies reverse flows: static outputs of dependents
-// feed dependee inputs. Writes cross instance boundaries, so this pass
-// stays serial even in the parallel pipeline.
+// feed dependee inputs.
 func (e *Engine) propagateReverse(full *spec.Full, byID map[string]*spec.Instance) error {
 	for _, inst := range full.Instances {
 		for _, l := range inst.Deps {
@@ -511,8 +512,7 @@ func (e *Engine) propagateReverse(full *spec.Full, byID map[string]*spec.Instanc
 // dependencies have all been propagated: inputs from upstream outputs,
 // config ports from overrides or defaults, output ports from their
 // definitions. It writes only to inst and reads upstream instances'
-// Output maps — which the wave schedule guarantees are complete and
-// no longer written.
+// Output maps, which the topological order guarantees are complete.
 func (e *Engine) propagateNode(inst *spec.Instance, byID map[string]*spec.Instance) error {
 	t := e.Registry.MustLookup(inst.Key)
 

@@ -202,6 +202,22 @@ func TestConfigureErrorPaths(t *testing.T) {
 						t.Fatalf("unsat error is %T, want UnsatError", err)
 					}
 				}
+				// One pipeline behind every entry point: the others stop
+				// at the same stage with the same words (an unsatisfiable
+				// specification has no alternatives, which is no error).
+				if _, err := eng.ConfigureMinimal(p); err == nil || err.Error() != tc.wantErr {
+					t.Errorf("ConfigureMinimal error:\n got %v\nwant %q", err, tc.wantErr)
+				}
+				if _, _, err := eng.ConfigureSession(p); err == nil || err.Error() != tc.wantErr {
+					t.Errorf("ConfigureSession error:\n got %v\nwant %q", err, tc.wantErr)
+				}
+				alts, err := eng.Alternatives(p, 0)
+				if tc.name == "unsat" && (err != nil || len(alts) != 0) {
+					t.Errorf("Alternatives of an unsatisfiable specification = %d, %v; want none", len(alts), err)
+				}
+				if tc.name != "unsat" && (err == nil || err.Error() != tc.wantErr) {
+					t.Errorf("Alternatives error:\n got %v\nwant %q", err, tc.wantErr)
+				}
 			})
 		}
 	}

@@ -1,10 +1,6 @@
 package config
 
 import (
-	"fmt"
-
-	"engage/internal/constraint"
-	"engage/internal/hypergraph"
 	"engage/internal/sat"
 	"engage/internal/spec"
 )
@@ -24,30 +20,20 @@ import (
 // SolveAssuming(¬v) on warm solver state (learned clauses, activity, and
 // phases carry over), and the decision is committed as a unit AddClause —
 // no cold restarts, no formula copying, at most one re-solve per graph
-// node.
-func (e *Engine) ConfigureMinimal(partial *spec.Partial) (*spec.Full, error) {
-	g, err := hypergraph.Generate(e.Registry, partial)
+// node. (At Parallelism ≥ 1 the first solve's canonical model is
+// already subset-minimal and every trial confirms it.)
+func (e *Engine) ConfigureMinimal(partial *spec.Partial) (full *spec.Full, err error) {
+	root := e.Tracer.Span("config.minimal")
+	var st Stats
+	defer func() { e.end(root, st, err) }()
+	g, prob, err := e.front(root, partial, &st)
 	if err != nil {
 		return nil, err
 	}
-	prob := constraint.Encode(g, e.Encoding)
-	solver := e.Solver
-	if solver == nil {
-		solver = sat.NewCDCL()
+	inc, model, err := e.solve(root, g, prob, partial, &st)
+	if err != nil {
+		return nil, err
 	}
-
-	root := e.Tracer.Span("config.minimal")
-	defer root.End()
-	inc := sat.Observe(sat.StartIncremental(solver, prob.Formula), e.observeSolves(root))
-	res := inc.SolveAssuming(nil)
-	switch res.Status {
-	case sat.Sat:
-	case sat.Unsat:
-		return nil, e.unsatError(g, root, partial)
-	default:
-		return nil, fmt.Errorf("config: solver %q gave up", solver.Name())
-	}
-	model := res.Model
 
 	fromSpec := make(map[string]bool, len(partial.Instances))
 	for _, pi := range partial.Instances {
@@ -70,15 +56,5 @@ func (e *Engine) ConfigureMinimal(partial *spec.Partial) (*spec.Full, error) {
 			inc.AddClause(sat.Clause{sat.Lit(v)})
 		}
 	}
-
-	full, err := e.build(g, partial, prob.Selected(model))
-	if err != nil {
-		return nil, err
-	}
-	if !e.SkipCheck {
-		if err := checkAfterBuild(e, full); err != nil {
-			return nil, err
-		}
-	}
-	return full, nil
+	return e.finish(root, g, prob, model, &st)
 }

@@ -23,6 +23,8 @@ import (
 // was built from. Model is always the model proven for the un-pinned
 // request: it is what Resolve rebuilds from, so a session answers its
 // request with the same bytes whatever it was lent out for in between.
+// At Parallelism ≥ 1 Inc is the portfolio winner's session, which the
+// canonicaliser has committed to Model on every instance variable.
 type Session struct {
 	Graph   *hypergraph.Graph
 	Problem *constraint.Problem
@@ -42,73 +44,49 @@ func (e *Engine) ConfigureSession(partial *spec.Partial) (*spec.Full, *Session, 
 // solve's effort reported, so callers keeping sessions warm — the
 // control plane's session pool — can compare it against later per-call
 // deltas from Session.SolvePinned / Session.Resolve.
-func (e *Engine) ConfigureSessionStats(partial *spec.Partial) (*spec.Full, *Session, sat.Stats, error) {
-	g, err := hypergraph.Generate(e.Registry, partial)
-	if err != nil {
-		return nil, nil, sat.Stats{}, err
-	}
-	prob := constraint.Encode(g, e.Encoding)
-	solver := e.Solver
-	if solver == nil {
-		solver = sat.NewCDCL()
-	}
-
+func (e *Engine) ConfigureSessionStats(partial *spec.Partial) (full *spec.Full, sess *Session, _ sat.Stats, err error) {
 	root := e.Tracer.Span("config.session")
-	defer root.End()
-	inc := sat.Observe(sat.StartIncremental(solver, prob.Formula), e.observeSolves(root))
-	res := inc.SolveAssuming(nil)
-	switch res.Status {
-	case sat.Sat:
-	case sat.Unsat:
-		return nil, nil, res.Stats, e.unsatError(g, root, partial)
-	default:
-		return nil, nil, res.Stats, fmt.Errorf("config: solver %q gave up", solver.Name())
-	}
-
-	full, err := e.build(g, partial, prob.Selected(res.Model))
+	var st Stats
+	defer func() { e.end(root, st, err) }()
+	g, prob, err := e.front(root, partial, &st)
 	if err != nil {
-		return nil, nil, res.Stats, err
+		return nil, nil, st.Solver, err
 	}
-	if !e.SkipCheck {
-		if err := checkAfterBuild(e, full); err != nil {
-			return nil, nil, res.Stats, err
-		}
+	inc, model, err := e.solve(root, g, prob, partial, &st)
+	if err != nil {
+		return nil, nil, st.Solver, err
 	}
-	root.Int("instances", int64(len(full.Instances)))
-	return full, &Session{Graph: g, Problem: prob, Inc: inc, Model: res.Model}, res.Stats, nil
+	if full, err = e.finish(root, g, prob, model, &st); err != nil {
+		return nil, nil, st.Solver, err
+	}
+	return full, &Session{Graph: g, Problem: prob, Inc: inc, Model: model}, st.Solver, nil
 }
 
 // Resolve answers a repeat of the session's original configuration
-// request on the warm path. The session's clause set has not grown
-// since the cold solve proved Model (pooled sessions only ever Resolve
-// or SolvePinned, and assumptions are temporary), so that model is
-// still a model: the warm path pays zero solver effort — no decisions,
-// no propagations — and rebuilds the full specification from the
-// retained model. The returned zero-valued stats are the per-call
-// effort delta; compared against the cold solve's real search they are
-// what the control plane's load test asserts ("warm requests do
-// strictly fewer propagations"). If the model was discarded (Model
-// nil), Resolve re-proves it with one warm incremental solve first.
+// request on the warm path. The session's clause set has only grown by
+// clauses Model satisfies since the cold solve proved it (pooled
+// sessions only ever Resolve or SolvePinned, and assumptions are
+// temporary), so that model is still a model: the warm path pays zero
+// solver effort — no decisions, no propagations — and runs only the
+// pipeline's finish stage on the retained model. The returned
+// zero-valued stats are the per-call effort delta; compared against the
+// cold solve's real search they are what the control plane's tests
+// assert ("warm requests do strictly fewer propagations"). If the model
+// was discarded (Model nil), Resolve re-proves it with one warm
+// incremental solve first.
 func (s *Session) Resolve(e *Engine, partial *spec.Partial) (*spec.Full, sat.Stats, error) {
-	var st sat.Stats
+	var solve sat.Stats
 	if s.Model == nil {
 		res := s.Inc.SolveAssuming(nil)
 		if res.Status != sat.Sat {
 			return nil, res.Stats, fmt.Errorf("config: warm session re-solve came back %s", res.Status)
 		}
 		s.Model = res.Model
-		st = res.Stats
+		solve = res.Stats
 	}
-	full, err := e.build(s.Graph, partial, s.Problem.Selected(s.Model))
-	if err != nil {
-		return nil, st, err
-	}
-	if !e.SkipCheck {
-		if err := checkAfterBuild(e, full); err != nil {
-			return nil, st, err
-		}
-	}
-	return full, st, nil
+	var st Stats
+	full, err := e.finish(nil, s.Graph, s.Problem, s.Model, &st)
+	return full, solve, err
 }
 
 // SolvePinned re-solves the session's formula with the given instance

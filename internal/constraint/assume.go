@@ -79,88 +79,23 @@ func (p *AssumableProblem) GroupFor(l sat.Lit) (Group, bool) {
 // mapping is identical to Encode's; selectors and encoding auxiliaries
 // are appended after the node variables.
 func EncodeAssumable(g *hypergraph.Graph, enc Encoding) *AssumableProblem {
-	f := sat.NewFormula(g.Len())
+	prob, selectors := emit(g, enc, 0, true)
 	p := &AssumableProblem{
-		Problem: &Problem{
-			Formula: f,
-			VarOf:   make(map[string]int, g.Len()),
-			IDOf:    make([]string, g.Len()+1),
-		},
-		groupOf: make(map[int]int),
+		Problem:   prob,
+		Selectors: selectors,
+		Groups:    make([]Group, 0, len(selectors)),
+		groupOf:   make(map[int]int, len(selectors)),
 	}
-	for i, id := range g.Order {
-		v := i + 1
-		p.VarOf[id] = v
-		p.IDOf[v] = id
-	}
-
-	addGroup := func(gr Group) sat.Lit {
-		s := sat.Lit(f.AddVar())
-		p.groupOf[s.Var()] = len(p.Groups)
-		p.Selectors = append(p.Selectors, s)
-		p.Groups = append(p.Groups, gr)
-		return s
-	}
-
-	// Unit constraints for partial-spec instances: s → rsrc(v).
 	for _, n := range g.Nodes() {
 		if n.FromSpec {
-			s := addGroup(Group{Kind: GroupSpec, Instance: n.ID, Edge: -1})
-			f.Add(s.Neg(), sat.Lit(p.VarOf[n.ID]))
+			p.Groups = append(p.Groups, Group{Kind: GroupSpec, Instance: n.ID, Edge: -1})
 		}
 	}
-
-	// Dependency constraints, one guarded group per hyperedge.
 	for ei, e := range g.Edges {
-		s := addGroup(Group{Kind: GroupEdge, Instance: e.Source, Edge: ei})
-		src := sat.Lit(p.VarOf[e.Source])
-		lits := make([]sat.Lit, len(e.Targets))
-		for i, t := range e.Targets {
-			lits[i] = sat.Lit(p.VarOf[t])
-		}
-		addGuardedImpliesExactlyOne(f, enc, s, src, lits)
+		p.Groups = append(p.Groups, Group{Kind: GroupEdge, Instance: e.Source, Edge: ei})
 	}
-
-	for len(p.IDOf) < f.NumVars+1 {
-		p.IDOf = append(p.IDOf, "")
+	for i, s := range selectors {
+		p.groupOf[s.Var()] = i
 	}
 	return p
-}
-
-// addGuardedImpliesExactlyOne encodes s → (src → ⊕lits): the plain
-// encoding of Encode with ¬s added to every clause, so dropping the s
-// assumption disables the whole group.
-func addGuardedImpliesExactlyOne(f *sat.Formula, enc Encoding, s, src sat.Lit, lits []sat.Lit) {
-	guard := s.Neg()
-	if enc == Ladder && len(lits) > 3 {
-		// Sequential at-most-one over lits, every clause carrying both
-		// the group guard and ¬src (mirrors addImpliesExactlyOneLadder).
-		n := len(lits)
-		c := make([]sat.Lit, 0, n+2)
-		c = append(c, guard, src.Neg())
-		c = append(c, lits...)
-		f.Add(c...)
-		aux := make([]sat.Lit, n-1)
-		for i := range aux {
-			aux[i] = sat.Lit(f.AddVar())
-		}
-		f.Add(guard, src.Neg(), lits[0].Neg(), aux[0])
-		for i := 1; i < n-1; i++ {
-			f.Add(guard, src.Neg(), aux[i-1].Neg(), aux[i])
-			f.Add(guard, src.Neg(), lits[i].Neg(), aux[i])
-			f.Add(guard, src.Neg(), lits[i].Neg(), aux[i-1].Neg())
-		}
-		f.Add(guard, src.Neg(), lits[n-1].Neg(), aux[n-2].Neg())
-		return
-	}
-	// Pairwise: at-least-one plus guarded at-most-one pairs.
-	c := make([]sat.Lit, 0, len(lits)+2)
-	c = append(c, guard, src.Neg())
-	c = append(c, lits...)
-	f.Add(c...)
-	for i := 0; i < len(lits); i++ {
-		for j := i + 1; j < len(lits); j++ {
-			f.Add(guard, src.Neg(), lits[i].Neg(), lits[j].Neg())
-		}
-	}
 }

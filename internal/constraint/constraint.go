@@ -51,7 +51,11 @@ type Problem struct {
 	IDOf []string
 }
 
-// Encode generates the Boolean constraints for a hypergraph.
+// Encode generates the Boolean constraints for a hypergraph: the
+// paper's loop, one clause appended to the Formula at a time. It stays
+// beside the arena emitter, whose output is the same bytes, for what it
+// does to the collector: on fleet_default's 4 MB heap the arena's
+// exact-size clause slice costs 7 MB of peak RSS (ROADMAP item 2).
 func Encode(g *hypergraph.Graph, enc Encoding) *Problem {
 	f := sat.NewFormula(g.Len())
 	p := &Problem{
@@ -121,6 +125,18 @@ func addImpliesExactlyOneLadder(f *sat.Formula, src sat.Lit, lits []sat.Lit) {
 		f.Add(src.Neg(), lits[i].Neg(), s[i-1].Neg())
 	}
 	f.Add(src.Neg(), lits[n-1].Neg(), s[n-2].Neg())
+}
+
+// EncodeParallel generates the same Problem as Encode — identical clause
+// list, literal order, and variable numbering — through the arena
+// emitter (emit.go), its per-hyperedge emission spread over a pool of
+// the given width. workers ≤ 0 is Encode itself.
+func EncodeParallel(g *hypergraph.Graph, enc Encoding, workers int) *Problem {
+	if workers <= 0 {
+		return Encode(g, enc)
+	}
+	p, _ := emit(g, enc, workers, false)
+	return p
 }
 
 // Selected extracts the set of deployed node IDs from a model.

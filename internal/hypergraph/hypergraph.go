@@ -5,11 +5,10 @@
 // nodes are resource instances and whose hyperedges represent
 // dependencies between them.
 //
-// Two generators produce the same graph: Generate is the sequential
-// reference implementation, a direct transcription of the paper's
-// worklist algorithm; GenerateOpts with Options.Parallelism ≥ 1 runs the
-// wave-parallel generator (parallel.go), which is proven byte-identical
-// to Generate by the differential suite in internal/workload.
+// Generate is a direct transcription of the paper's worklist algorithm;
+// GenerateOpts with Options.Parallelism ≥ 1 runs the same worklist with
+// its lookups memoised (memo.go), which the differential suite in
+// internal/workload proves byte-identical to Generate.
 package hypergraph
 
 import (
@@ -105,8 +104,13 @@ func Generate(reg *resource.Registry, partial *spec.Partial) (*Graph, error) {
 		return nil, err
 	}
 	r := &graphResolver{g: g, sub: resource.NewSubtyper(reg), frontierFn: reg.Frontier}
+	return expand(g, worklist, r, reg)
+}
 
-	// Pass 2: worklist processing.
+// expand runs pass 2 of GraphGen, the FIFO worklist: each step resolves
+// one node's dependencies through r, appends its hyperedges, and queues
+// the nodes it created.
+func expand(g *Graph, worklist []string, r resolver, reg *resource.Registry) (*Graph, error) {
 	for len(worklist) > 0 {
 		id := worklist[0]
 		worklist = worklist[1:]
@@ -154,9 +158,8 @@ func initFromPartial(reg *resource.Registry, partial *spec.Partial) (*Graph, []s
 }
 
 // resolver provides the graph-state queries and mutations the per-node
-// expansion step needs. Implementations: graphResolver (sequential
-// generation and the parallel generator's redo path) and overlay
-// (parallel speculation against a frozen snapshot).
+// expansion step needs. Implementations: graphResolver (the paper's
+// uncached lookups) and cachedResolver (the same answers, memoised).
 type resolver interface {
 	node(id string) (*Node, bool)
 	// findMatch returns the first node in creation order whose key is a
@@ -175,8 +178,8 @@ type resolver interface {
 	frontier(k resource.Key) ([]resource.Key, error)
 }
 
-// graphResolver resolves directly against a live graph; it is the
-// resolver of the sequential reference path.
+// graphResolver resolves directly against a live graph, rescanning the
+// node list per query.
 type graphResolver struct {
 	g          *Graph
 	sub        resource.SubtypeChecker

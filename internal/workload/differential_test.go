@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"engage/internal/config"
 	"engage/internal/constraint"
 	"engage/internal/hypergraph"
 	"engage/internal/resource"
@@ -13,12 +14,12 @@ import (
 	"engage/internal/testlib"
 )
 
-// The differential suite proves the parallel front half of the pipeline
-// exact: for seeded fleets (and the paper's OpenMRS fixture), hypergraph
-// generation and constraint emission at Parallelism 1, 4, and 16 are
-// byte-identical to the sequential reference — same node order, node
-// contents, edge list, clause list (compared as DIMACS text), variable
-// numbering, and errors. CI runs this under -race.
+// The differential suite proves the scale path's front half exact: for
+// seeded fleets (and the paper's OpenMRS fixture), memoised hypergraph
+// generation and pooled constraint emission at Parallelism 1, 4, and 16
+// are byte-identical to the paper's uncached path — same node order,
+// node contents, edge list, clause list (compared as DIMACS text),
+// variable numbering, and errors. CI runs this under -race.
 
 var parallelisms = []int{1, 4, 16}
 
@@ -155,8 +156,8 @@ func TestParallelGenerateErrorDifferential(t *testing.T) {
 		}
 	}
 
-	// An error raised mid-generation (during wave expansion, not during
-	// the shared init pass): an env dependency whose target can only
+	// An error raised mid-generation (during worklist expansion, not
+	// during the shared init pass): an env dependency whose target can only
 	// live inside a machine type that is not present.
 	reg2 := resource.NewRegistry()
 	mustAdd := func(ts ...*resource.Type) {
@@ -190,5 +191,56 @@ func TestParallelGenerateErrorDifferential(t *testing.T) {
 		if err == nil || err.Error() != wantErr2.Error() {
 			t.Fatalf("P=%d: mid-generation error %v, want %v", p, err, wantErr2)
 		}
+	}
+}
+
+// TestParallelSessionDifferential: the session-keeping entry point is
+// the same pipeline as Configure at every Parallelism — same bytes —
+// and the session it keeps (at ≥ 1 the portfolio winner's, strengthened
+// by the canonicaliser's unit clauses) still proves any pinning of its
+// own answer and rebuilds the same bytes afterwards.
+func TestParallelSessionDifferential(t *testing.T) {
+	render := func(t *testing.T, full *spec.Full) string {
+		text, err := spec.Render(full)
+		if err != nil {
+			t.Fatalf("render: %v", err)
+		}
+		return text
+	}
+	for _, fx := range diffFixtures(t) {
+		fx := fx
+		t.Run(fx.name, func(t *testing.T) {
+			for _, p := range []int{0, 1, 4} {
+				e := config.New(fx.reg)
+				e.Parallelism = p
+				full, _, err := e.ConfigureStats(fx.partial)
+				if err != nil {
+					t.Fatalf("P=%d: ConfigureStats: %v", p, err)
+				}
+				want := render(t, full)
+
+				full, sess, _, err := e.ConfigureSessionStats(fx.partial)
+				if err != nil {
+					t.Fatalf("P=%d: ConfigureSessionStats: %v", p, err)
+				}
+				if got := render(t, full); got != want {
+					t.Fatalf("P=%d: ConfigureSessionStats differs from ConfigureStats:\n got:\n%s\nwant:\n%s", p, got, want)
+				}
+				var pins []string
+				for i := 0; i < len(full.Instances); i += 2 {
+					pins = append(pins, full.Instances[i].ID)
+				}
+				if res, err := sess.SolvePinned(pins); err != nil || res.Status != sat.Sat {
+					t.Fatalf("P=%d: SolvePinned(every other instance) = %v, %v; want SAT", p, res.Status, err)
+				}
+				full, _, err = sess.Resolve(e, fx.partial)
+				if err != nil {
+					t.Fatalf("P=%d: Resolve: %v", p, err)
+				}
+				if got := render(t, full); got != want {
+					t.Fatalf("P=%d: Resolve after SolvePinned differs from ConfigureStats", p)
+				}
+			}
+		})
 	}
 }

@@ -188,3 +188,40 @@ func TestTracedDeployUnderFaults(t *testing.T) {
 		t.Errorf("faulted deploy only %v longer than fault-free, want >= %v", got, want)
 	}
 }
+
+// Every configuration entry point runs the one pipeline, so the stage
+// spans sit under ConfigureMinimal's and Alternatives' roots exactly as
+// they do under Configure's.
+func TestTracedMinimalAndAlternativesStages(t *testing.T) {
+	sys, err := NewSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	sys.StartTrace(&buf)
+	if _, err := sys.ConfigureMinimal(chaosPartial()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Alternatives(chaosPartial(), 2); err != nil {
+		t.Fatal(err)
+	}
+	trace, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatalf("trace does not validate: %v", err)
+	}
+	for _, root := range []string{"config.minimal", "config.alternatives"} {
+		roots := trace.Spans(root)
+		if len(roots) != 1 {
+			t.Fatalf("want one %s span, got %d", root, len(roots))
+		}
+		under := make(map[string]bool)
+		for _, sp := range trace.ChildSpans(roots[0].ID) {
+			under[sp.Name] = true
+		}
+		for _, stage := range []string{"config.graph", "config.encode", "config.build"} {
+			if !under[stage] {
+				t.Errorf("%s has no %s child span", root, stage)
+			}
+		}
+	}
+}
