@@ -233,6 +233,8 @@ func (e *Engine) solve(root *telemetry.Span, g *hypergraph.Graph, prob *constrai
 // winner's session. It emits one "solve.portfolio" event per worker on
 // sp (the winner's effort, and each loser's effort at the moment the
 // stop flag cancelled it) and stamps the portfolio shape onto sp itself.
+// The result's Stats are the whole stage's effort: every worker's, plus
+// what canonicalizing spent on the winner's session.
 func (e *Engine) solvePortfolio(g *hypergraph.Graph, prob *constraint.Problem, sp *telemetry.Span) (sat.IncrementalSolver, sat.Result, error) {
 	pr := sat.SolvePortfolio(prob.Formula, e.Parallelism)
 	for _, w := range pr.Workers {
@@ -253,13 +255,22 @@ func (e *Engine) solvePortfolio(g *hypergraph.Graph, prob *constraint.Problem, s
 	if res.Status != sat.Sat {
 		return nil, res, nil
 	}
-	canon, solves, err := sat.CanonicalModel(pr.Session(), res.Model, instanceVars(g, prob))
+	sess := pr.Session()
+	before := sess.TotalStats()
+	canon, solves, err := sat.CanonicalModel(sess, res.Model, instanceVars(g, prob))
+	after := sess.TotalStats()
+	res.Stats.Decisions += after.Decisions - before.Decisions
+	res.Stats.Propagations += after.Propagations - before.Propagations
+	res.Stats.Conflicts += after.Conflicts - before.Conflicts
+	res.Stats.Learned += after.Learned - before.Learned
+	res.Stats.Restarts += after.Restarts - before.Restarts
+	res.Stats.ProofSteps += after.ProofSteps - before.ProofSteps
 	if err != nil {
 		return nil, res, fmt.Errorf("config: canonicalizing portfolio model: %w", err)
 	}
 	sp.Int("canon_solves", int64(solves))
 	res.Model = canon
-	return pr.Session(), res, nil
+	return sess, res, nil
 }
 
 // instanceVars lists the instance variables in graph order — the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"engage/internal/constraint"
+	"engage/internal/hypergraph"
 	"engage/internal/rdl"
 	"engage/internal/resource"
 	"engage/internal/sat"
@@ -298,4 +299,44 @@ func parseRDL(src string) (*resource.Registry, error) {
 
 func testlibResolve(src string) (*resource.Registry, error) {
 	return rdl.ParseAndResolve(map[string]string{"test.rdl": src})
+}
+
+// The canonicaliser's effort must be in the reported stats: at
+// Parallelism 1 (a portfolio of one is deterministic) Stats.Solver is
+// the portfolio's total plus what CanonicalModel spends on the winner's
+// session, re-derived here by hand on the same formula.
+func TestStatsCountCanonicalisation(t *testing.T) {
+	e := engine(t)
+	e.Parallelism = 1
+	_, st, err := e.ConfigureStats(fig2(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	g, err := hypergraph.Generate(e.Registry, fig2(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob := constraint.Encode(g, constraint.Pairwise)
+	pr := sat.SolvePortfolio(prob.Formula, 1)
+	want := pr.TotalStats()
+	sess := pr.Session()
+	before := sess.TotalStats()
+	if _, _, err := sat.CanonicalModel(sess, pr.Result.Model, instanceVars(g, prob)); err != nil {
+		t.Fatal(err)
+	}
+	after := sess.TotalStats()
+	want.Decisions += after.Decisions - before.Decisions
+	want.Propagations += after.Propagations - before.Propagations
+	want.Conflicts += after.Conflicts - before.Conflicts
+	want.Learned += after.Learned - before.Learned
+	want.Restarts += after.Restarts - before.Restarts
+	want.ProofSteps += after.ProofSteps - before.ProofSteps
+
+	if after == before {
+		t.Fatal("canonicalisation reported no effort; the test would pass vacuously")
+	}
+	if st.Solver != want {
+		t.Errorf("Stats.Solver = %+v, want portfolio + canonicalisation = %+v", st.Solver, want)
+	}
 }

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -105,9 +106,16 @@ type cdclState struct {
 	polarity []bool // saved phase: true means last assigned false
 	seen     []bool
 
-	claInc float64
-	stats  Stats
-	ok     bool
+	// Ordered-decision mode (see canonical.go); all zero outside
+	// CanonicalModel, in which case decisions are VSIDS's alone.
+	ordered []int32 // variables decided first, in this order, false first
+	rank    []int32 // per var: 1 + its index in ordered, 0 if not ordered
+	cursor  int     // every ordered[i] with i < cursor is assigned
+
+	claInc     float64
+	stats      Stats
+	ok         bool
+	addScratch []ilit // addClause's sort buffer, reused across clauses
 
 	// Proof logging (see proof.go); nil when logging is off.
 	proof        *Proof      // derivation log (possibly shared across a portfolio)
@@ -138,11 +146,7 @@ func (c *CDCL) Solve(f *Formula) Result {
 	if c.LogProof {
 		s.proof = NewProof(c.ProofCap)
 	}
-	for _, cl := range f.Clauses {
-		if !s.addClause(cl) {
-			return Result{Status: Unsat, Stats: s.stats, Proof: s.proof}
-		}
-	}
+	s.load(f)
 	return s.search()
 }
 
@@ -201,6 +205,55 @@ func (s *cdclState) value(l ilit) int8 {
 	return v
 }
 
+// load installs f's clauses, in order, into a fresh state, stopping at
+// one that closes the clause set at level 0 (search then answers Unsat
+// from s.ok). It is the one place a formula is looped into a state. A
+// counting pass first reserves the arena, the clause list and the
+// binary watch lists — one backing array, sliced per literal — so the
+// adds that follow append into reserved space instead of growing a
+// slice per literal. Only capacity is reserved: arena layout and watch
+// order, and so the search that follows, are exactly what bare
+// addClause calls give.
+func (s *cdclState) load(f *Formula) {
+	words, stored, bins := 0, 0, 0
+	binCount := make([]int32, 2*s.nVars)
+	for _, c := range f.Clauses {
+		if len(c) < 2 {
+			continue
+		}
+		words += len(c) + clauseOverhead
+		stored++
+		if len(c) == 2 {
+			for _, l := range c {
+				// A variable beyond nVars is grown by addClause; its
+				// lists simply go unreserved.
+				if l.Var() <= s.nVars {
+					binCount[toInternal(l).neg()]++
+					bins++
+				}
+			}
+		}
+	}
+	s.ar.data = slices.Grow(s.ar.data, words)
+	s.clauses = slices.Grow(s.clauses, stored)
+	// Each list's capacity is capped at its share of the backing array,
+	// so an append past the estimate — a longer clause that level-0
+	// simplification shrank to binary — reallocates that one list
+	// instead of running into its neighbour's.
+	backing := make([]binWatcher, bins)
+	for l, n := range binCount {
+		if n > 0 {
+			s.binWatches[l] = backing[:0:n]
+			backing = backing[n:]
+		}
+	}
+	for _, c := range f.Clauses {
+		if !s.addClause(c) {
+			return
+		}
+	}
+}
+
 // addClause installs a problem clause, handling duplicates, tautologies,
 // and already-satisfied/falsified literals at level 0. The caller must
 // be at decision level 0.
@@ -216,11 +269,12 @@ func (s *cdclState) addClause(c Clause) bool {
 	}
 	s.ensureVars(maxVar)
 
-	lits := make([]ilit, 0, len(c))
+	lits := s.addScratch[:0]
 	for _, l := range c {
 		lits = append(lits, toInternal(l))
 	}
-	sort.Slice(lits, func(i, j int) bool { return lits[i] < lits[j] })
+	s.addScratch = lits
+	slices.Sort(lits)
 	out := lits[:0]
 	var prev ilit = -1
 	for _, l := range lits {
@@ -507,7 +561,15 @@ func (s *cdclState) backtrackTo(lvl int) {
 	for i := len(s.trail) - 1; i >= bound; i-- {
 		l := s.trail[i]
 		v := l.ivar()
-		s.polarity[v] = l.sign()
+		if s.rank != nil && s.rank[v] > 0 {
+			// An ordered variable is always tried false, so it has no
+			// phase to save; unassigning it rewinds the cursor to it.
+			if r := int(s.rank[v]) - 1; r < s.cursor {
+				s.cursor = r
+			}
+		} else {
+			s.polarity[v] = l.sign()
+		}
 		s.assign[v] = valUnassigned
 		s.reason[v] = crefUndef
 		s.order.push(v)
@@ -663,7 +725,8 @@ func (s *cdclState) searchOnce(conflictLimit int64, maxLearnts *int) (Status, []
 			s.reduceDB()
 			*maxLearnts += *maxLearnts / 10
 		}
-		// Decide: pending assumptions first, then VSIDS branching.
+		// Decide: pending assumptions first, then the ordered variables
+		// (CanonicalModel only), then VSIDS branching.
 		var next ilit = -1
 		for next < 0 && s.decisionLevel() < len(s.assumptions) {
 			p := s.assumptions[s.decisionLevel()]
@@ -681,6 +744,12 @@ func (s *cdclState) searchOnce(conflictLimit int64, maxLearnts *int) (Status, []
 				return Unsat, nil
 			default:
 				next = p
+			}
+		}
+		if next < 0 {
+			if v := s.pickOrderedVar(); v >= 0 {
+				s.stats.Decisions++
+				next = ilit(2 * v).neg()
 			}
 		}
 		if next < 0 {
@@ -711,6 +780,18 @@ func (s *cdclState) searchOnce(conflictLimit int64, maxLearnts *int) (Status, []
 		s.trailLim = append(s.trailLim, len(s.trail))
 		s.uncheckedEnqueue(next, crefUndef)
 	}
+}
+
+// pickOrderedVar returns the first unassigned variable of the decision
+// order, or -1 once all of them are assigned (always, outside ordered
+// mode). The cursor only moves forward here; backtrackTo rewinds it.
+func (s *cdclState) pickOrderedVar() int32 {
+	for ; s.cursor < len(s.ordered); s.cursor++ {
+		if v := s.ordered[s.cursor]; s.assign[v] == valUnassigned {
+			return v
+		}
+	}
+	return -1
 }
 
 func (s *cdclState) pickBranchVar() int32 {

@@ -70,6 +70,58 @@ func FuzzIncrementalEnumeration(f *testing.F) {
 	})
 }
 
+// FuzzCanonicalModel cross-checks CanonicalModel's ordered search three
+// ways on formulas small enough to enumerate: against the per-variable
+// walk it replaced and against brute force, all three must name the
+// same lex-least assignment of the ordered variables. The order is a
+// random subset of the variables in random order; the rest stand in for
+// ladder auxiliaries, which the search may decide any way it likes.
+func FuzzCanonicalModel(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(30), int64(1))
+	f.Add(int64(42), uint8(12), uint8(50), int64(7))
+	f.Add(int64(2012), uint8(15), uint8(63), int64(3))
+	f.Fuzz(func(t *testing.T, seed int64, nv, nc uint8, orderSeed int64) {
+		nVars := int(nv%16) + 1
+		nClauses := int(nc%64) + 1
+		formula := randomFormula(rand.New(rand.NewSource(seed)), nVars, nClauses)
+		order := randomOrder(rand.New(rand.NewSource(orderSeed)), nVars, 0)
+
+		want := bruteLexMin(formula, order)
+		in := NewCDCL().StartIncremental(formula).(*Incremental)
+		res := in.SolveAssuming(nil)
+		if (res.Status == Sat) != (want != nil) {
+			t.Fatalf("solver says %v, brute force found model=%v\n%s", res.Status, want != nil, Dimacs(formula))
+		}
+		got, n, err := CanonicalModel(in, res.Model, order)
+		if n != 1 {
+			t.Fatalf("%d solver calls, want 1", n)
+		}
+		orderedModeOff(t, in)
+		if want == nil {
+			if err == nil {
+				t.Fatalf("canonicalized an unsatisfiable session\n%s", Dimacs(formula))
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%v\n%s", err, Dimacs(formula))
+		}
+		if i := Verify(formula, got); i >= 0 {
+			t.Fatalf("canonical model falsifies clause %d\n%s", i, Dimacs(formula))
+		}
+		walked, _, err := walkCanonicalModel(NewCDCL().StartIncremental(formula), res.Model, order)
+		if err != nil {
+			t.Fatalf("walk: %v\n%s", err, Dimacs(formula))
+		}
+		for _, v := range order {
+			if got[v] != want[v] || walked[v] != want[v] {
+				t.Fatalf("order %v, var %d: ordered search %v, walk %v, brute force %v\n%s",
+					order, v, got[v], walked[v], want[v], Dimacs(formula))
+			}
+		}
+	})
+}
+
 // FuzzParseDIMACS hardens the DIMACS reader: arbitrary input must
 // either error out or produce a well-formed formula that survives a
 // render/re-parse round trip.

@@ -50,11 +50,7 @@ func StartIncremental(s Solver, f *Formula) IncrementalSolver {
 // CDCL session seeded with f's clauses.
 func (c *CDCL) StartIncremental(f *Formula) IncrementalSolver {
 	in := NewIncremental(f.NumVars)
-	for _, cl := range f.Clauses {
-		if !in.AddClause(cl) {
-			break
-		}
-	}
+	in.s.load(f)
 	if c.LogProof {
 		// Logging starts after seeding: f is the proof's base formula,
 		// clauses added later are logged as "i" inputs.

@@ -310,20 +310,8 @@ func solvePortfolio(f *Formula, n int, proof *Proof) PortfolioResult {
 			}
 			s.ensureVars(f.NumVars)
 			states[i] = s
-			res := Result{Status: Unsat}
-			ok := true
-			for _, c := range f.Clauses {
-				if !s.addClause(c) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				res = s.search()
-			} else {
-				res.Stats = s.stats
-				res.Proof = s.proof
-			}
+			s.load(f)
+			res := s.search()
 			if res.Status == Unknown {
 				s.discardProofPending()
 			} else {

@@ -55,7 +55,7 @@ func TestPortfolioSolveDifferential(t *testing.T) {
 		if err := certify.CheckModel(prob.Formula, res.Model); err != nil {
 			t.Fatalf("seed %d: sequential model refuted: %v", seed, err)
 		}
-		want, _, err := sat.CanonicalModel(seq.StartIncremental(prob.Formula), res.Model, order)
+		want, _, err := sat.CanonicalModel(seq.StartIncremental(prob.Formula).(*sat.Incremental), res.Model, order)
 		if err != nil {
 			t.Fatalf("seed %d: canonicalize sequential: %v", seed, err)
 		}
