@@ -174,7 +174,7 @@ type resolver interface {
 	// node would get.
 	freshID(k resource.Key, machine string) string
 	addNode(n *Node)
-	subtyper() resource.SubtypeChecker
+	subtyper() *resource.Subtyper
 	frontier(k resource.Key) ([]resource.Key, error)
 }
 
@@ -182,7 +182,7 @@ type resolver interface {
 // node list per query.
 type graphResolver struct {
 	g          *Graph
-	sub        resource.SubtypeChecker
+	sub        *resource.Subtyper
 	frontierFn func(resource.Key) ([]resource.Key, error)
 }
 
@@ -224,8 +224,8 @@ func (r *graphResolver) freshID(k resource.Key, machine string) string {
 	})
 }
 
-func (r *graphResolver) addNode(n *Node)                   { r.g.add(n) }
-func (r *graphResolver) subtyper() resource.SubtypeChecker { return r.sub }
+func (r *graphResolver) addNode(n *Node)              { r.g.add(n) }
+func (r *graphResolver) subtyper() *resource.Subtyper { return r.sub }
 func (r *graphResolver) frontier(k resource.Key) ([]resource.Key, error) {
 	return r.frontierFn(k)
 }
@@ -408,7 +408,7 @@ func (g *Graph) resolveMachine(id string) (string, error) {
 	}
 }
 
-func matchesAny(sub resource.SubtypeChecker, k resource.Key, alts []resource.Key) bool {
+func matchesAny(sub *resource.Subtyper, k resource.Key, alts []resource.Key) bool {
 	for _, a := range alts {
 		if sub.IsSubtype(k, a) {
 			return true

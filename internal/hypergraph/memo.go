@@ -1,8 +1,6 @@
 package hypergraph
 
 import (
-	"sync"
-
 	"engage/internal/resource"
 	"engage/internal/spec"
 )
@@ -15,15 +13,15 @@ type Options struct {
 	Parallelism int
 }
 
-// GenerateOpts is Generate with the resolver selected by opts. At
-// Parallelism ≥ 1 the shared lookups are memoised for the run: the
-// subtype relation (resource.SharedSubtyper), concrete frontiers
-// (frontierMemo), and first-match resolution (matchCache, which
-// remembers the first two matches per (key, machine) and resumes its
-// scan instead of rescanning the node list per query). The result is
-// byte-identical to Generate (same node order, edge order, IDs, and
-// errors) for every Parallelism value; the differential suite in
-// internal/workload enforces this.
+// GenerateOpts is Generate with the resolver selected by opts. Both
+// resolvers answer ≤RT through one resource.Subtyper for the run. At
+// Parallelism ≥ 1 the other lookups are memoised too: concrete frontiers
+// (frontierMemo) and first-match resolution (matchCache, which remembers
+// the first two matches per (key, machine) and resumes its scan instead
+// of rescanning the node list per query). The result is byte-identical
+// to Generate (same node order, edge order, IDs, and errors) for every
+// Parallelism value; the differential suite in internal/workload
+// enforces this.
 func GenerateOpts(reg *resource.Registry, partial *spec.Partial, opts Options) (*Graph, error) {
 	if opts.Parallelism <= 0 {
 		return Generate(reg, partial)
@@ -32,7 +30,7 @@ func GenerateOpts(reg *resource.Registry, partial *spec.Partial, opts Options) (
 	if err != nil {
 		return nil, err
 	}
-	sub := resource.NewSharedSubtyper(reg)
+	sub := resource.NewSubtyper(reg)
 	r := &cachedResolver{graphResolver{g: g, sub: sub}, newMatchCache(g, sub), newFrontierMemo(reg)}
 	return expand(g, worklist, r, reg)
 }
@@ -73,12 +71,11 @@ func (r *cachedResolver) frontier(k resource.Key) ([]resource.Key, error) {
 // amortized pass over the node list no matter how many dependency
 // disjuncts ask. Two matches suffice because a query excludes at most
 // one node (the dependent itself). Answers are a pure function of
-// (graph prefix, key, machine, limit, source) and therefore
-// schedule-independent, even though the internal scan positions vary.
+// (graph prefix, key, machine, limit, source) and therefore independent
+// of query order, even though the internal scan positions are not.
 type matchCache struct {
-	mu  sync.Mutex
 	g   *Graph
-	sub resource.SubtypeChecker
+	sub *resource.Subtyper
 	m   map[matchKey]*matchEntry
 }
 
@@ -94,7 +91,7 @@ type matchEntry struct {
 	scanned int // g.Order[:scanned] has been scanned
 }
 
-func newMatchCache(g *Graph, sub resource.SubtypeChecker) *matchCache {
+func newMatchCache(g *Graph, sub *resource.Subtyper) *matchCache {
 	return &matchCache{g: g, sub: sub, m: make(map[matchKey]*matchEntry)}
 }
 
@@ -103,8 +100,6 @@ func newMatchCache(g *Graph, sub resource.SubtypeChecker) *matchCache {
 // source, together with its position in creation order; ("", -1) when
 // there is none.
 func (c *matchCache) query(k resource.Key, machine string, limit int, source string) (string, int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	mk := matchKey{key: k, machine: machine}
 	e := c.m[mk]
 	if e == nil {
@@ -136,7 +131,6 @@ func (c *matchCache) query(k resource.Key, machine string, limit int, source str
 // the (immutable during generation) registry. Callers must not mutate
 // the returned slice.
 type frontierMemo struct {
-	mu  sync.RWMutex
 	reg *resource.Registry
 	m   map[resource.Key]frontierResult
 }
@@ -151,15 +145,10 @@ func newFrontierMemo(reg *resource.Registry) *frontierMemo {
 }
 
 func (f *frontierMemo) frontier(k resource.Key) ([]resource.Key, error) {
-	f.mu.RLock()
-	r, ok := f.m[k]
-	f.mu.RUnlock()
-	if ok {
+	if r, ok := f.m[k]; ok {
 		return r.keys, r.err
 	}
 	keys, err := f.reg.Frontier(k)
-	f.mu.Lock()
 	f.m[k] = frontierResult{keys: keys, err: err}
-	f.mu.Unlock()
 	return keys, err
 }

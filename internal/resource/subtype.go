@@ -1,9 +1,6 @@
 package resource
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // This file implements the subtyping relation ≤RT. Subtyping is
 // *declared* — "sub-resource types extend base resource type
@@ -76,59 +73,46 @@ func SubPortMap(sub, super map[string]string) bool {
 	return true
 }
 
-// SubtypeChecker is the query interface shared by Subtyper and
-// SharedSubtyper; consumers that only ask "is sub ≤RT super?" should
-// accept this so either checker can be plugged in.
-type SubtypeChecker interface {
-	IsSubtype(sub, super Key) bool
-}
-
-// Subtyper checks ≤RT over a registry, memoizing results. The relation
-// is used (a) by the hypergraph generator when matching an existing
-// instance against a dependency key, and (b) by the static checker when
-// validating that `extends` declarations produce genuine subtypes.
+// Subtyper checks ≤RT over a registry. The relation is used (a) by the
+// hypergraph generator when matching an existing instance against a
+// dependency key, and (b) by the static checker when validating that
+// `extends` declarations produce genuine subtypes. A pair's verdict is
+// derived once per checker and kept as the error Explain reports, so
+// every later query of the pair is a map read that allocates nothing.
+// A Subtyper is not safe for concurrent use.
 type Subtyper struct {
-	reg  *Registry
-	memo map[[2]Key]bool
-	// inProgress guards against cycles in malformed registries: a pair
-	// currently being derived is assumed true (coinductive reading),
-	// which is sound for the acyclic registries the checker admits.
-	inProgress map[[2]Key]bool
+	reg *Registry
+	// memo maps each queried pair to its verdict: nil if sub ≤RT super,
+	// else why not. A pair still being derived reads nil, which is how
+	// cycles in malformed registries are cut: the coinductive reading,
+	// sound for the acyclic registries the checker admits.
+	memo map[[2]Key]error
 }
 
 // NewSubtyper returns a subtype checker over a registry.
 func NewSubtyper(reg *Registry) *Subtyper {
-	return &Subtyper{
-		reg:        reg,
-		memo:       make(map[[2]Key]bool),
-		inProgress: make(map[[2]Key]bool),
-	}
+	return &Subtyper{reg: reg, memo: make(map[[2]Key]error)}
 }
 
 // IsSubtype reports sub ≤RT super.
-func (s *Subtyper) IsSubtype(sub, super Key) bool {
-	return s.Explain(sub, super) == nil
-}
+func (s *Subtyper) IsSubtype(sub, super Key) bool { return s.verdict(sub, super) == nil }
 
 // Explain reports why sub is not a subtype of super, or nil if it is.
-func (s *Subtyper) Explain(sub, super Key) error {
+// The reason is the one the pair's derivation found, whichever query
+// derived it.
+func (s *Subtyper) Explain(sub, super Key) error { return s.verdict(sub, super) }
+
+func (s *Subtyper) verdict(sub, super Key) error {
 	if sub == super {
 		return nil // Refl
 	}
 	pair := [2]Key{sub, super}
-	if v, ok := s.memo[pair]; ok {
-		if v {
-			return nil
-		}
-		return fmt.Errorf("%q is not a subtype of %q", sub, super)
+	if err, ok := s.memo[pair]; ok {
+		return err
 	}
-	if s.inProgress[pair] {
-		return nil
-	}
-	s.inProgress[pair] = true
+	s.memo[pair] = nil // in progress
 	err := s.derive(sub, super)
-	delete(s.inProgress, pair)
-	s.memo[pair] = err == nil
+	s.memo[pair] = err
 	return err
 }
 
@@ -228,7 +212,7 @@ func (s *Subtyper) subDep(sub, super Dependency) error {
 	for _, sk := range sub.Alternatives {
 		ok := false
 		for _, pk := range super.Alternatives {
-			if s.Explain(sk, pk) == nil {
+			if s.IsSubtype(sk, pk) {
 				ok = true
 				break
 			}
@@ -244,37 +228,4 @@ func (s *Subtyper) subDep(sub, super Dependency) error {
 		return fmt.Errorf("reverse port map not related")
 	}
 	return nil
-}
-
-// SharedSubtyper is a concurrency-safe ≤RT checker for use by parallel
-// hypergraph expansion: answered pairs are published in a lock-free map
-// so the hot path (memo hits from many workers scanning candidate nodes)
-// costs one atomic load; misses serialize on a mutex around the inner
-// Subtyper's derivation. Answers are identical to Subtyper's — the
-// relation is a pure function of the registry.
-type SharedSubtyper struct {
-	hits  sync.Map // [2]Key -> bool
-	mu    sync.Mutex
-	inner *Subtyper
-}
-
-// NewSharedSubtyper returns a concurrency-safe subtype checker.
-func NewSharedSubtyper(reg *Registry) *SharedSubtyper {
-	return &SharedSubtyper{inner: NewSubtyper(reg)}
-}
-
-// IsSubtype reports sub ≤RT super; safe for concurrent use.
-func (s *SharedSubtyper) IsSubtype(sub, super Key) bool {
-	if sub == super {
-		return true // Refl, no map traffic
-	}
-	pair := [2]Key{sub, super}
-	if v, ok := s.hits.Load(pair); ok {
-		return v.(bool)
-	}
-	s.mu.Lock()
-	v := s.inner.IsSubtype(sub, super)
-	s.mu.Unlock()
-	s.hits.Store(pair, v)
-	return v
 }

@@ -1,6 +1,7 @@
 package resource
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -249,6 +250,73 @@ func TestSubtypeMemoization(t *testing.T) {
 	n2 := st.IsSubtype(Key{Name: "Java"}, MakeKey("JDK", "1.6"))
 	if n1 || n2 {
 		t.Error("Java is not a subtype of JDK")
+	}
+}
+
+// TestExplainSameReasonWhateverDerivedIt: Explain reports the reason the
+// pair's derivation found, whether the pair was first asked through
+// Explain, through IsSubtype, or from inside another pair's derivation.
+func TestExplainSameReasonWhateverDerivedIt(t *testing.T) {
+	reg := NewRegistry()
+	mustAdd := func(ty *Type) {
+		if err := reg.Add(ty); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustAdd(&Type{Key: MakeKey("Server", ""), Abstract: true})
+	mustAdd(&Type{Key: MakeKey("Base", ""), Abstract: true,
+		Inside: &Dependency{Alternatives: []Key{{Name: "Server"}}},
+		Input:  []Port{{Name: "x", Type: T(KindString)}}})
+	// Bad narrows an input port, which contravariance forbids.
+	mustAdd(&Type{Key: MakeKey("Bad", "1"), Extends: &Key{Name: "Base"},
+		Input: []Port{{Name: "x", Type: T(KindInt)}}})
+	// Holder 1 ≤RT Holder needs Bad 1 ≤RT Base for its inside dependency.
+	mustAdd(&Type{Key: MakeKey("Holder", ""), Abstract: true,
+		Inside: &Dependency{Alternatives: []Key{{Name: "Base"}}}})
+	mustAdd(&Type{Key: MakeKey("Holder", "1"), Extends: &Key{Name: "Holder"},
+		Inside: &Dependency{Alternatives: []Key{MakeKey("Bad", "1")}}})
+
+	bad, base := MakeKey("Bad", "1"), Key{Name: "Base"}
+	want := NewSubtyper(reg).Explain(bad, base)
+	if want == nil || !strings.Contains(want.Error(), "input ports: no port matching") {
+		t.Fatalf("Explain(Bad 1, Base) = %v, want the input-port reason", want)
+	}
+	for _, first := range []struct {
+		name string
+		ask  func(*Subtyper) bool
+	}{
+		{"after IsSubtype", func(s *Subtyper) bool { return s.IsSubtype(bad, base) }},
+		{"after a recursive derivation", func(s *Subtyper) bool { return s.IsSubtype(MakeKey("Holder", "1"), Key{Name: "Holder"}) }},
+		{"twice in a row", func(s *Subtyper) bool { return s.Explain(bad, base) == nil }},
+	} {
+		s := NewSubtyper(reg)
+		if first.ask(s) {
+			t.Errorf("%s: first query held", first.name)
+		}
+		if got := s.Explain(bad, base); got == nil || got.Error() != want.Error() {
+			t.Errorf("%s: Explain = %v, want %v", first.name, got, want)
+		}
+	}
+}
+
+// TestIsSubtypeMemoHitAllocatesNothing: once a pair is derived, asking
+// again is a map read, positive or negative.
+func TestIsSubtypeMemoHitAllocatesNothing(t *testing.T) {
+	st := NewSubtyper(buildTestRegistry(t))
+	for _, c := range []struct {
+		sub, super Key
+		want       bool
+	}{
+		{MakeKey("JDK", "1.6"), Key{Name: "Java"}, true},
+		{Key{Name: "Java"}, MakeKey("JDK", "1.6"), false},
+		{MakeKey("Tomcat", "6.0.18"), Key{Name: "Java"}, false},
+	} {
+		if got := st.IsSubtype(c.sub, c.super); got != c.want {
+			t.Fatalf("IsSubtype(%v, %v) = %v, want %v", c.sub, c.super, got, c.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { st.IsSubtype(c.sub, c.super) }); n != 0 {
+			t.Errorf("memo-hit IsSubtype(%v, %v) allocates %.0f times, want 0", c.sub, c.super, n)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -33,29 +34,24 @@ func (f *Full) TopoOrder() ([]*Instance, error) {
 		indeg[inst.ID] = len(deps)
 	}
 
-	// Kahn's algorithm with a sorted ready set for determinism.
-	var ready []string
-	for id, n := range indeg {
-		if n == 0 {
-			ready = append(ready, id)
+	// Kahn's algorithm, popping the least ready ID for determinism.
+	ready := &idHeap{}
+	for _, inst := range f.Instances {
+		if indeg[inst.ID] == 0 {
+			heap.Push(ready, inst.ID)
 		}
 	}
-	sort.Strings(ready)
 
 	out := make([]*Instance, 0, len(f.Instances))
-	for len(ready) > 0 {
-		id := ready[0]
-		ready = ready[1:]
+	for ready.Len() > 0 {
+		id := heap.Pop(ready).(string)
 		out = append(out, byID[id])
-		var unlocked []string
 		for _, dep := range dependents[id] {
 			indeg[dep]--
 			if indeg[dep] == 0 {
-				unlocked = append(unlocked, dep)
+				heap.Push(ready, dep)
 			}
 		}
-		sort.Strings(unlocked)
-		ready = mergeSorted(ready, unlocked)
 	}
 	if len(out) != len(f.Instances) {
 		var stuck []string
@@ -70,21 +66,17 @@ func (f *Full) TopoOrder() ([]*Instance, error) {
 	return out, nil
 }
 
-func mergeSorted(a, b []string) []string {
-	out := make([]string, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+// idHeap is Kahn's ready set: a min-heap of IDs, so the least ready ID
+// is taken next and the order is deterministic.
+type idHeap struct{ sort.StringSlice }
+
+func (h *idHeap) Push(x any) { h.StringSlice = append(h.StringSlice, x.(string)) }
+
+func (h *idHeap) Pop() any {
+	n := len(h.StringSlice) - 1
+	x := h.StringSlice[n]
+	h.StringSlice = h.StringSlice[:n]
+	return x
 }
 
 // MachineOrder partially orders the machines of a specification for
@@ -127,27 +119,22 @@ func (f *Full) MachineOrder() ([]string, error) {
 		}
 	}
 
-	var ready []string
+	ready := &idHeap{}
 	for _, m := range machines {
 		if indeg[m] == 0 {
-			ready = append(ready, m)
+			heap.Push(ready, m)
 		}
 	}
-	sort.Strings(ready)
 	var out []string
-	for len(ready) > 0 {
-		m := ready[0]
-		ready = ready[1:]
+	for ready.Len() > 0 {
+		m := heap.Pop(ready).(string)
 		out = append(out, m)
-		var unlocked []string
 		for n := range edges[m] {
 			indeg[n]--
 			if indeg[n] == 0 {
-				unlocked = append(unlocked, n)
+				heap.Push(ready, n)
 			}
 		}
-		sort.Strings(unlocked)
-		ready = mergeSorted(ready, unlocked)
 	}
 	if len(out) != len(machines) {
 		return nil, fmt.Errorf("spec: machines cannot be partially ordered (cross-machine dependency cycle)")

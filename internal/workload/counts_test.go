@@ -8,11 +8,12 @@ import (
 	"engage/internal/sat"
 )
 
-// The solve stage in counts, not clocks: what the solver did on seed 1
+// The engine's work in counts, not clocks: what the solver did on seed 1
 // of two rungs of the fleet ladder, pinned exactly, and how that work
-// grows between them. Counts repeat bit for bit on any box, so a change
-// that moves one changed the algorithm — re-pin it and say why in
-// CHANGES.md.
+// grows between them; and what GraphGen allocates per node. Counts
+// repeat on any box, so a change that moves one changed the algorithm —
+// re-pin it and say why in CHANGES.md. vet-engage bans the wall clock
+// from this file.
 
 // solveStagePins is the first solve's effort under the pairwise
 // encoding: SolvePortfolio at width 1, which searches exactly like
@@ -96,5 +97,43 @@ func TestSolveStageCounts(t *testing.T) {
 	small, large := canonPropsPerClause[0], canonPropsPerClause[1]
 	if large > 1.3*small {
 		t.Errorf("canonicalisation propagations per clause grew from %.3f at fleet250 to %.3f at fleet2000, more than 1.3×", small, large)
+	}
+}
+
+// graphGenAllocPins is GraphGen's allocations per graph node on seed 1
+// of fleet250 (758 nodes), as measured; the test allows 1.25× that. The
+// ≤RT checker answers a repeated query from its memo without
+// allocating; building an error per negative query instead costs
+// ≈ 4,460 allocations per node at Parallelism 0, and fails this at once.
+var graphGenAllocPins = []struct {
+	parallelism int
+	perNode     float64
+}{
+	{0, 73.6},
+	{1, 48.2},
+}
+
+func TestGraphGenAllocsPerNode(t *testing.T) {
+	sh, ok := FleetShapeByName("fleet250")
+	if !ok {
+		t.Fatal("no fleet shape fleet250")
+	}
+	reg, partial, err := Generate(sh.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pin := range graphGenAllocPins {
+		var nodes int
+		allocs := testing.AllocsPerRun(2, func() {
+			g, err := hypergraph.GenerateOpts(reg, partial, hypergraph.Options{Parallelism: pin.parallelism})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes = g.Len()
+		})
+		if perNode := allocs / float64(nodes); perNode > 1.25*pin.perNode {
+			t.Errorf("fleet250 GraphGen at Parallelism %d allocates %.1f times per node (%.0f for %d nodes), pinned %.1f, limit %.1f",
+				pin.parallelism, perNode, allocs, nodes, pin.perNode, 1.25*pin.perNode)
+		}
 	}
 }

@@ -15,8 +15,9 @@
 //     time.AfterFunc in those packages is an error unless the line (or
 //     the line above it) carries an //engage:wallclock comment, which
 //     marks a deliberate wall-time measurement such as the span
-//     wall-duration axis. Test files are exempt: they may time
-//     themselves.
+//     wall-duration axis. Test files are exempt — they may time
+//     themselves — except the work-counter tests (wallclockTestFiles),
+//     whose assertions must be counts.
 //
 //   - maporder: the output-producing packages (internal/telemetry,
 //     lint, store, certify) promise deterministic output — traces,
@@ -41,6 +42,14 @@
 //     freely (the callee guards), but a field access before the first
 //     `if recv == nil` guard is an error.
 //
+//   - subtypepred: (*resource.Subtyper).Explain returns the reason a
+//     pair is not a subtype, for diagnostics; asking only whether it is
+//     one is IsSubtype's job. Comparing an Explain call with nil (== or
+//     !=) is an error, in every package.
+//     The method is resolved by type-checking each package with the
+//     module's internal/resource checked from source and every other
+//     import stubbed. Test files are exempt.
+//
 // Exit status is 1 if any finding is reported.
 package main
 
@@ -52,6 +61,7 @@ import (
 	"go/types"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -78,6 +88,12 @@ var maporderDirs = map[string]bool{
 	"internal/lint":      true,
 	"internal/store":     true,
 	"internal/certify":   true,
+}
+
+// wallclockTestFiles are the test files the wallclock check covers
+// anyway: tests that pin the engine's work as counts.
+var wallclockTestFiles = map[string]bool{
+	"internal/workload/counts_test.go": true,
 }
 
 const nilguardDir = "internal/telemetry"
@@ -118,8 +134,9 @@ func main() {
 	}
 	var findings []finding
 	fset := token.NewFileSet()
+	imp := newResourceImporter(fset, ".")
 	for _, dir := range dirs {
-		fs, err := checkDir(fset, dir)
+		fs, err := checkDir(fset, dir, imp)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "vet-engage:", err)
 			os.Exit(2)
@@ -185,16 +202,14 @@ func expand(patterns []string) ([]string, error) {
 	return dirs, nil
 }
 
-// checkDir parses the directory's non-test Go files and applies the
-// checks that are in scope for it.
-func checkDir(fset *token.FileSet, dir string) ([]finding, error) {
+// checkDir parses the directory's non-test Go files (and any test file
+// in wallclockTestFiles) and applies the checks that are in scope for
+// it.
+func checkDir(fset *token.FileSet, dir string, imp types.Importer) ([]finding, error) {
 	rel := filepath.ToSlash(strings.TrimPrefix(filepath.Clean(dir), "./"))
 	wantWallclock := wallclockDirs[rel]
 	wantNilguard := rel == nilguardDir
 	wantMaporder := maporderDirs[rel]
-	if !wantWallclock && !wantNilguard && !wantMaporder {
-		return nil, nil
-	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -203,21 +218,24 @@ func checkDir(fset *token.FileSet, dir string) ([]finding, error) {
 	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
-		path := filepath.Join(dir, name)
-		src, err := os.ReadFile(path)
+		isTest := strings.HasSuffix(name, "_test.go")
+		if isTest && !wallclockTestFiles[path.Join(rel, name)] {
+			continue
+		}
+		file, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		file, err := parser.ParseFile(fset, path, src, parser.ParseComments)
-		if err != nil {
-			return nil, err
+		if isTest {
+			findings = append(findings, checkWallclock(fset, file, inCounterTest)...)
+			continue
 		}
 		files = append(files, file)
 		if wantWallclock {
-			findings = append(findings, checkWallclock(fset, file)...)
+			findings = append(findings, checkWallclock(fset, file, inClockPackage)...)
 		}
 		if wantNilguard {
 			findings = append(findings, checkNilGuard(fset, file)...)
@@ -226,6 +244,7 @@ func checkDir(fset *token.FileSet, dir string) ([]finding, error) {
 	if wantMaporder {
 		findings = append(findings, checkMaporder(fset, files)...)
 	}
+	findings = append(findings, checkSubtypePred(fset, files, imp)...)
 	return findings, nil
 }
 
@@ -304,9 +323,130 @@ func checkMaporder(fset *token.FileSet, files []*ast.File) []finding {
 	return findings
 }
 
+// resourceImporter type-checks the module's internal/resource package
+// from source, once, so that calls on a *resource.Subtyper resolve in
+// every package; every other import is stubbed.
+type resourceImporter struct {
+	fset *token.FileSet
+	path string // import path of internal/resource; "" outside a module
+	dir  string
+	pkg  *types.Package
+	stub stubImporter
+}
+
+// newResourceImporter reads the module path from root/go.mod.
+func newResourceImporter(fset *token.FileSet, root string) *resourceImporter {
+	r := &resourceImporter{fset: fset, dir: filepath.Join(root, "internal", "resource")}
+	if mod, err := os.ReadFile(filepath.Join(root, "go.mod")); err == nil {
+		for _, line := range strings.Split(string(mod), "\n") {
+			if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
+				r.path = f[1] + "/internal/resource"
+			}
+		}
+	}
+	return r
+}
+
+func (r *resourceImporter) Import(importPath string) (*types.Package, error) {
+	if importPath != r.path || r.path == "" {
+		return r.stub.Import(importPath)
+	}
+	if r.pkg != nil {
+		return r.pkg, nil
+	}
+	entries, err := os.ReadDir(r.dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		if name := e.Name(); strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			file, err := parser.ParseFile(r.fset, filepath.Join(r.dir, name), nil, 0)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, file)
+		}
+	}
+	conf := types.Config{Importer: &r.stub, Error: func(error) {}}
+	r.pkg, _ = conf.Check(importPath, r.fset, files, nil) // declarations are all we need
+	return r.pkg, nil
+}
+
+// checkSubtypePred flags an Explain call on a *resource.Subtyper that is
+// compared with nil. Calls whose receiver cannot be resolved are
+// skipped, not guessed at.
+func checkSubtypePred(fset *token.FileSet, files []*ast.File, imp types.Importer) []finding {
+	if len(files) == 0 {
+		return nil
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: imp, Error: func(error) {}}
+	conf.Check(files[0].Name.Name, fset, files, info) //nolint:errcheck — partial info is the point
+
+	var findings []finding
+	for _, file := range files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			bin, ok := n.(*ast.BinaryExpr)
+			if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
+				return true
+			}
+			if (isNil(bin.Y) && isSubtyperExplain(info, bin.X)) || (isNil(bin.X) && isSubtyperExplain(info, bin.Y)) {
+				findings = append(findings, finding{fset.Position(bin.Pos()),
+					"subtypepred: (*resource.Subtyper).Explain compared with nil; Explain is for the reason, IsSubtype for the question"})
+			}
+			return true
+		})
+	}
+	return findings
+}
+
+func isNil(e ast.Expr) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && id.Name == "nil"
+}
+
+// isSubtyperExplain reports whether e is a call of the Explain method of
+// a type named Subtyper in a package named resource.
+func isSubtyperExplain(info *types.Info, e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Explain" {
+		return false
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Subtyper" && obj.Pkg() != nil && obj.Pkg().Name() == "resource"
+}
+
+// Where checkWallclock's findings say the wall clock was read, and what
+// to do instead.
+const (
+	inClockPackage = "in a virtual-clock package; use the simulated clock"
+	inCounterTest  = "in a work-counter test; pin counts, not times"
+)
+
 // checkWallclock flags wall-clock reads outside //engage:wallclock
 // allowlisted lines.
-func checkWallclock(fset *token.FileSet, file *ast.File) []finding {
+func checkWallclock(fset *token.FileSet, file *ast.File, where string) []finding {
 	timeName := ""
 	for _, imp := range file.Imports {
 		if imp.Path.Value != `"time"` {
@@ -353,8 +493,8 @@ func checkWallclock(fset *token.FileSet, file *ast.File) []finding {
 			return true
 		}
 		findings = append(findings, finding{pos, fmt.Sprintf(
-			"wallclock: %s.%s in a virtual-clock package; use the simulated clock, or annotate the line with %s",
-			timeName, sel.Sel.Name, allowDirective)})
+			"wallclock: %s.%s %s, or annotate the line with %s",
+			timeName, sel.Sel.Name, where, allowDirective)})
 		return true
 	})
 	return findings

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -31,7 +33,7 @@ func TestWallclockFlagsBareUse(t *testing.T) {
 import "time"
 func f() time.Time { return time.Now() }
 `)
-	fs := checkWallclock(fset, file)
+	fs := checkWallclock(fset, file, inClockPackage)
 	if len(fs) != 1 || !strings.Contains(fs[0].msg, "time.Now in a virtual-clock package") {
 		t.Errorf("findings = %v", messages(fs))
 	}
@@ -49,7 +51,7 @@ func f() time.Duration {
 	return time.Since(start)
 }
 `)
-	if fs := checkWallclock(fset, file); len(fs) != 0 {
+	if fs := checkWallclock(fset, file, inClockPackage); len(fs) != 0 {
 		t.Errorf("allowlisted uses flagged: %v", messages(fs))
 	}
 }
@@ -59,7 +61,7 @@ func TestWallclockAliasedImport(t *testing.T) {
 import wall "time"
 func f() wall.Time { return wall.Now() }
 `)
-	fs := checkWallclock(fset, file)
+	fs := checkWallclock(fset, file, inClockPackage)
 	if len(fs) != 1 || !strings.Contains(fs[0].msg, "wall.Now") {
 		t.Errorf("findings = %v", messages(fs))
 	}
@@ -70,7 +72,7 @@ func TestWallclockDotImport(t *testing.T) {
 import . "time"
 var x = Now()
 `)
-	fs := checkWallclock(fset, file)
+	fs := checkWallclock(fset, file, inClockPackage)
 	if len(fs) != 1 || !strings.Contains(fs[0].msg, "dot-import") {
 		t.Errorf("findings = %v", messages(fs))
 	}
@@ -82,7 +84,7 @@ import "time"
 var d = 3 * time.Second
 func f(t time.Time) string { return t.Format(time.RFC3339) }
 `)
-	if fs := checkWallclock(fset, file); len(fs) != 0 {
+	if fs := checkWallclock(fset, file, inClockPackage); len(fs) != 0 {
 		t.Errorf("non-clock uses flagged: %v", messages(fs))
 	}
 }
@@ -91,7 +93,7 @@ func TestWallclockNoTimeImport(t *testing.T) {
 	fset, file := parse(t, `package deploy
 func f() {}
 `)
-	if fs := checkWallclock(fset, file); len(fs) != 0 {
+	if fs := checkWallclock(fset, file, inClockPackage); len(fs) != 0 {
 		t.Errorf("findings = %v", messages(fs))
 	}
 }
@@ -266,6 +268,137 @@ func f() {
 	if fs := checkMaporder(fset, []*ast.File{file}); len(fs) != 0 {
 		t.Errorf("unresolved range flagged: %v", messages(fs))
 	}
+}
+
+func TestWallclockCoversCountTests(t *testing.T) {
+	// The work-counter test file is held to the ban; other test files in
+	// the same package may still time themselves.
+	root := t.TempDir()
+	dir := filepath.Join(root, "internal", "workload")
+	timed := `package workload
+import "time"
+var start = time.Now()
+`
+	writeFile(t, filepath.Join(dir, "counts_test.go"), timed)
+	writeFile(t, filepath.Join(dir, "other_test.go"), timed)
+	chdir(t, root)
+	fset := token.NewFileSet()
+	fs, err := checkDir(fset, "internal/workload", newResourceImporter(fset, "."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fs) != 1 || !strings.HasSuffix(fs[0].pos.Filename, "counts_test.go") || !strings.Contains(fs[0].msg, "time.Now in a work-counter test") {
+		t.Errorf("findings = %v", messages(fs))
+	}
+}
+
+// subtyperSource is a stand-in for internal/resource's checker API.
+const subtyperSource = `package resource
+type Key struct{ Name string }
+type Subtyper struct{}
+func NewSubtyper() *Subtyper { return &Subtyper{} }
+func (s *Subtyper) Explain(sub, super Key) error { return nil }
+func (s *Subtyper) IsSubtype(sub, super Key) bool { return true }
+`
+
+// subtyperModule writes a module whose internal/resource is
+// subtyperSource and returns an importer that resolves it.
+func subtyperModule(t *testing.T, fset *token.FileSet) *resourceImporter {
+	t.Helper()
+	root := t.TempDir()
+	writeFile(t, filepath.Join(root, "go.mod"), "module example.com/m\n\ngo 1.22\n")
+	writeFile(t, filepath.Join(root, "internal", "resource", "subtype.go"), subtyperSource)
+	return newResourceImporter(fset, root)
+}
+
+func TestSubtypePredFlagsComparisonInPackage(t *testing.T) {
+	fset, file := parse(t, subtyperSource+`func f(s *Subtyper, a, b Key) bool {
+	if s.Explain(a, b) != nil {
+		return false
+	}
+	return nil == (s.Explain(b, a))
+}
+`)
+	fs := checkSubtypePred(fset, []*ast.File{file}, &stubImporter{})
+	if len(fs) != 2 || !strings.Contains(fs[0].msg, "IsSubtype for the question") {
+		t.Fatalf("findings = %v", messages(fs))
+	}
+	if fs[0].pos.Line != 8 || fs[1].pos.Line != 11 {
+		t.Errorf("lines = %d, %d; want 8, 11", fs[0].pos.Line, fs[1].pos.Line)
+	}
+}
+
+func TestSubtypePredFlagsComparisonAcrossPackages(t *testing.T) {
+	fset := token.NewFileSet()
+	imp := subtyperModule(t, fset)
+	file, err := parser.ParseFile(fset, "x.go", `package lint
+import "example.com/m/internal/resource"
+type index struct{ sub *resource.Subtyper }
+func (ix *index) ok(a, b resource.Key) bool { return ix.sub.Explain(a, b) == nil }
+func g(k resource.Key) bool {
+	s := resource.NewSubtyper()
+	return s.Explain(k, k) == nil
+}
+`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := checkSubtypePred(fset, []*ast.File{file}, imp)
+	if len(fs) != 2 || fs[0].pos.Line != 4 || fs[1].pos.Line != 7 {
+		t.Errorf("findings = %v", messages(fs))
+	}
+}
+
+func TestSubtypePredAcceptsOtherUses(t *testing.T) {
+	// Using the reason, asking IsSubtype, another type's Explain, and a
+	// receiver that cannot be resolved are all left alone.
+	fset := token.NewFileSet()
+	imp := subtyperModule(t, fset)
+	file, err := parser.ParseFile(fset, "x.go", `package typecheck
+import (
+	"example.com/m/internal/other"
+	"example.com/m/internal/resource"
+)
+type explainer struct{}
+func (explainer) Explain(a, b int) error { return nil }
+func f(s *resource.Subtyper, k resource.Key) error {
+	if err := s.Explain(k, k); err != nil {
+		return err
+	}
+	if !s.IsSubtype(k, k) || (explainer{}).Explain(1, 2) == nil || other.Checker().Explain(k, k) == nil {
+		return nil
+	}
+	return s.Explain(k, k)
+}
+`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs := checkSubtypePred(fset, []*ast.File{file}, imp); len(fs) != 0 {
+		t.Errorf("findings = %v", messages(fs))
+	}
+}
+
+func writeFile(t *testing.T, name, src string) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(name), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(name, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func chdir(t *testing.T, dir string) {
+	t.Helper()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
 }
 
 func TestExpandPatterns(t *testing.T) {
