@@ -80,10 +80,6 @@ func checkChaosTrace(t *testing.T, raw []byte, plan *FaultPlan, deployErr error,
 	if deployErr == nil {
 		return
 	}
-	var derr *DeployError
-	if errors.As(deployErr, &derr) && derr.Deadlock {
-		return // no failing action; nothing to match
-	}
 	var ferr *fault.Error
 	if !errors.As(deployErr, &ferr) {
 		t.Errorf("seed %d: chaos failure does not wrap *fault.Error: %v", seed, deployErr)
@@ -123,15 +119,29 @@ func saveChaosTrace(t *testing.T, raw []byte) {
 // in the sweep must exercise each side of it (so the test cannot
 // silently degrade into all-pass or all-fail).
 func TestChaosSoakDeploy(t *testing.T) {
-	succeeded, rolledBack := 0, 0
-	for seed := int64(0); seed < 20; seed++ {
-		seed := seed
+	succeeded, rolledBack := chaosSoak(t, 0, 20, false)
+	if succeeded == 0 || rolledBack == 0 {
+		t.Errorf("sweep should exercise both outcomes: %d succeeded, %d rolled back", succeeded, rolledBack)
+	}
+}
+
+// TestChaosSoakConcurrent is the soak's Parallel leg: the same walk with
+// critical-path accounting over seeds 100–109, held to the same
+// per-seed invariant and trace checks.
+func TestChaosSoakConcurrent(t *testing.T) { chaosSoak(t, 100, 110, true) }
+
+// chaosSoak deploys seeds [from, to) under chaos, checks each seed's
+// outcome and trace, and counts the deploys that succeeded and the
+// ones that rolled back.
+func chaosSoak(t *testing.T, from, to int64, parallel bool) (succeeded, rolledBack int) {
+	for seed := from; seed < to; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			sys, err := NewSystem()
 			if err != nil {
 				t.Fatal(err)
 			}
 			sys.OnFailure = FailRollback
+			sys.Parallel = parallel
 			var buf bytes.Buffer
 			tr := sys.StartTrace(&buf)
 			plan := ChaosPlan(seed, 0.08, 0)
@@ -154,40 +164,7 @@ func TestChaosSoakDeploy(t *testing.T) {
 			}
 		})
 	}
-	if succeeded == 0 || rolledBack == 0 {
-		t.Errorf("sweep should exercise both outcomes: %d succeeded, %d rolled back", succeeded, rolledBack)
-	}
-}
-
-// TestChaosSoakConcurrent repeats the soak with the concurrent deployer
-// (one goroutine per instance) — under -race this stresses the guard
-// coordination and the deadlock detector against injected failures.
-func TestChaosSoakConcurrent(t *testing.T) {
-	for seed := int64(100); seed < 110; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			sys, err := NewSystem()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sys.OnFailure = FailRollback
-			var buf bytes.Buffer
-			tr := sys.StartTrace(&buf)
-			plan := ChaosPlan(seed, 0.08, 0)
-			sys.InjectFaults(plan)
-
-			full, err := sys.Configure(chaosPartial())
-			if err != nil {
-				t.Fatal(err)
-			}
-			d, err := sys.DeployConcurrent(full)
-			checkChaosOutcome(t, sys, d, err, seed)
-			if terr := tr.Err(); terr != nil {
-				t.Fatalf("seed %d: tracer error: %v", seed, terr)
-			}
-			checkChaosTrace(t, buf.Bytes(), plan, err, seed)
-		})
-	}
+	return succeeded, rolledBack
 }
 
 // TestChaosReproducible replays one seed twice and demands the exact

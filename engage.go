@@ -367,21 +367,6 @@ func (s *System) Deploy(f *Full) (*Deployment, error) {
 	return d, nil
 }
 
-// DeployConcurrent is Deploy with one goroutine per instance: drivers
-// fire as soon as their ↑/↓ guards allow, with no global plan — the
-// §5.1 blocking-transition semantics realized with real concurrency.
-// The outcome and virtual-time accounting match the Parallel option.
-func (s *System) DeployConcurrent(f *Full) (*Deployment, error) {
-	d, err := deploy.New(f, s.options())
-	if err != nil {
-		return nil, err
-	}
-	if err := d.DeployConcurrent(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
 // DeployMultiHost deploys a specification spanning several machines in
 // master/slave style (§5.2), ordering the machines by their dependency
 // partial order.

@@ -260,12 +260,13 @@ func TestFacadeCoverageSweep(t *testing.T) {
 		t.Fatalf("ConfigureMinimal: %v, %d instances", err, len(minimal.Instances))
 	}
 
-	dep, err := sys.DeployConcurrent(full)
+	sys.Parallel = true
+	dep, err := sys.Deploy(full)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !dep.Deployed() {
-		t.Error("concurrent deploy incomplete")
+		t.Error("parallel deploy incomplete")
 	}
 }
 
@@ -328,8 +329,9 @@ func TestFacadeErrorPaths(t *testing.T) {
 	if _, err := sys.Deploy(&Full{Instances: nil}); err != nil {
 		t.Errorf("empty spec should deploy trivially: %v", err)
 	}
-	if _, err := sys.DeployConcurrent(&Full{}); err != nil {
-		t.Errorf("empty concurrent deploy: %v", err)
+	sys.Parallel = true
+	if _, err := sys.Deploy(&Full{}); err != nil {
+		t.Errorf("empty parallel deploy: %v", err)
 	}
 	if _, err := sys.RegisterApp(Archive{}); err == nil {
 		t.Error("empty archive should fail registration")

@@ -35,10 +35,10 @@ type Options struct {
 	Parallel bool
 	// Parallelism bounds the worker pool used for real (wall-clock)
 	// concurrency in deployment preparation: driver instantiation in
-	// New and per-machine plan batching in PlanByMachine. Values ≤ 1
-	// run sequentially. Orthogonal to Parallel, which concerns virtual
-	// time. Driver factories must be safe to invoke concurrently for
-	// distinct instances (the built-in and declarative factories are).
+	// New. Values ≤ 1 run sequentially. Orthogonal to Parallel, which
+	// concerns virtual time. Driver factories must be safe to invoke
+	// concurrently for distinct instances (the built-in and declarative
+	// factories are).
 	Parallelism int
 	// ProvisionMissing creates world machines for machine instances not
 	// already present, using OSOf to derive the OS identifier.
@@ -80,11 +80,13 @@ type Options struct {
 // specification.
 type Deployment struct {
 	opts  Options
-	full  *spec.Full
 	order []*spec.Instance
 
-	drivers    map[string]*driver.Driver
-	managers   map[string]*pkgmgr.Manager // per machine
+	drivers  map[string]*driver.Driver
+	managers map[string]*pkgmgr.Manager // per machine
+	// upstream and downstream index each instance's dependency links
+	// both ways, so guard evaluation never scans the specification.
+	upstream   map[string][]string
 	downstream map[string][]string
 	elapsed    time.Duration
 	events     []Event
@@ -127,11 +129,14 @@ func New(full *spec.Full, opts Options) (*Deployment, error) {
 	}
 	d := &Deployment{
 		opts:       opts,
-		full:       full,
 		order:      order,
 		drivers:    make(map[string]*driver.Driver, len(order)),
 		managers:   make(map[string]*pkgmgr.Manager),
+		upstream:   make(map[string][]string, len(order)),
 		downstream: full.Downstream(),
+	}
+	for _, inst := range order {
+		d.upstream[inst.ID] = inst.DependencyIDs()
 	}
 
 	// Machines first: every machine instance must exist in the world.
@@ -217,11 +222,10 @@ func osOf(opts Options, inst *spec.Instance) string {
 func (d *Deployment) NeighbourStates(id string, dir driver.Direction) []driver.State {
 	var ids []string
 	if dir == driver.Upstream {
-		inst, ok := d.full.Find(id)
-		if !ok {
+		var ok bool
+		if ids, ok = d.upstream[id]; !ok {
 			return nil
 		}
-		ids = inst.DependencyIDs()
 	} else {
 		ids = d.downstream[id]
 	}
@@ -276,33 +280,23 @@ type costSink struct{ d time.Duration }
 
 func (s *costSink) Charge(d time.Duration) { s.d += d }
 
-func (s *costSink) total() time.Duration { return s.d }
-
-// accountingSink is a TimeSink whose accumulated total can be read; the
-// retry layer uses it to measure per-action cost for timeouts and to
-// charge backoff.
-type accountingSink interface {
-	machine.TimeSink
-	total() time.Duration
-}
-
 // fireWithRetry fires one action, retrying per the deployment's retry
 // policy with exponential backoff charged to sink as virtual time.
-// Guard blocks are returned immediately (the callers own blocking
-// semantics), and timeouts are terminal. It reports how many attempts
+// Guard blocks are returned immediately (in dependency order they never
+// clear), and timeouts are terminal. It reports how many attempts
 // were made. Retry and timeout events are emitted on sp stamped at
 // vbase plus the instance's consumed virtual time; a nil sp traces
 // nothing.
-func (d *Deployment) fireWithRetry(drv *driver.Driver, id, action string, sink accountingSink, env driver.GuardEnv, sp *telemetry.Span, vbase time.Time) (int, error) {
+func (d *Deployment) fireWithRetry(drv *driver.Driver, id, action string, sink *costSink, sp *telemetry.Span, vbase time.Time) (int, error) {
 	policy := d.opts.Retry.resolve(d.opts.OnFailure)
 	for attempt := 1; ; attempt++ {
-		before := sink.total()
-		err := drv.Fire(action, env)
-		cost := sink.total() - before
+		before := sink.d
+		err := drv.Fire(action, d)
+		cost := sink.d - before
 		if err == nil {
 			if d.opts.ActionTimeout > 0 && cost > d.opts.ActionTimeout {
 				if sp != nil {
-					sp.Event("deploy.timeout").At(vbase.Add(sink.total())).
+					sp.Event("deploy.timeout").At(vbase.Add(sink.d)).
 						Dur("cost", cost).Dur("limit", d.opts.ActionTimeout).Emit()
 				}
 				d.opts.Metrics.Counter("deploy.timeouts").Inc()
@@ -319,7 +313,7 @@ func (d *Deployment) fireWithRetry(drv *driver.Driver, id, action string, sink a
 		}
 		bo := policy.backoff(attempt)
 		if sp != nil {
-			sp.Event("deploy.retry").At(vbase.Add(sink.total())).
+			sp.Event("deploy.retry").At(vbase.Add(sink.d)).
 				Int("attempt", int64(attempt)).Dur("backoff", bo).
 				Str("error", err.Error()).Emit()
 		}
@@ -353,7 +347,7 @@ func (d *Deployment) driveTo(id string, target driver.State, sink *costSink, vba
 			wstart = time.Now() //engage:wallclock span wall-duration axis
 		}
 		before := sink.d
-		attempts, err := d.fireWithRetry(drv, id, action, sink, d, sp, vbase)
+		attempts, err := d.fireWithRetry(drv, id, action, sink, sp, vbase)
 		if sp != nil {
 			sp.Str("instance", id).Str("action", action).
 				Str("to", string(drv.State())).Int("attempts", int64(attempts))
@@ -386,11 +380,26 @@ func (d *Deployment) driveTo(id string, target driver.State, sink *costSink, vba
 // system is defined to be deployed"). With Parallel set, instances
 // whose dependencies are satisfied proceed concurrently in virtual
 // time; the world clock advances by the critical-path duration.
-func (d *Deployment) Deploy() error {
+func (d *Deployment) Deploy() error { return d.run(d.opts.Parallel) }
+
+// DeployConcurrent is Deploy with critical-path accounting whatever
+// Options.Parallel says. The name is kept because the benchmark harness
+// (bench/layers.go) calls it; it goes once the harness deploys through
+// Deploy with Parallel set.
+func (d *Deployment) DeployConcurrent() error { return d.run(true) }
+
+// run is the one deploy executor: a walk in dependency order that fires
+// each instance's driver actions up to active. It never waits on a
+// guard, since every upstream instance has settled by the time its
+// dependents fire; a guard that does not hold fails the deploy with the
+// driver's *driver.BlockedError. parallel selects the virtual-time
+// accounting: each instance starts at its latest dependency's finish
+// (the critical path) rather than at the running total.
+func (d *Deployment) run(parallel bool) error {
 	clock0 := d.opts.World.Clock.Now()
 	root := d.opts.Tracer.Span("deploy")
 	if root != nil {
-		root.Int("instances", int64(len(d.order))).Bool("parallel", d.opts.Parallel)
+		root.Int("instances", int64(len(d.order))).Bool("parallel", parallel)
 	}
 	var snap *worldSnapshot
 	if d.opts.OnFailure == FailRollback {
@@ -406,13 +415,14 @@ func (d *Deployment) Deploy() error {
 
 	for _, inst := range d.order {
 		sink := &costSink{}
+		deps := d.upstream[inst.ID]
 		// The instance's virtual start: in parallel mode the latest
 		// dependency finish (valid because order is topological), in
 		// sequential mode the running total so far.
 		vstart := total
-		if d.opts.Parallel {
+		if parallel {
 			vstart = 0
-			for _, dep := range inst.DependencyIDs() {
+			for _, dep := range deps {
 				if finish[dep] > vstart {
 					vstart = finish[dep]
 				}
@@ -422,7 +432,7 @@ func (d *Deployment) Deploy() error {
 		if isp != nil {
 			isp.Str("instance", inst.ID).Str("key", inst.Key.String()).
 				Str("machine", d.drivers[inst.ID].Ctx.Machine.Name).
-				Str("deps", strings.Join(inst.DependencyIDs(), " "))
+				Str("deps", strings.Join(deps, " "))
 		}
 		err := d.driveTo(inst.ID, driver.Active, sink, clock0.Add(vstart), isp)
 		if isp != nil {
@@ -433,7 +443,7 @@ func (d *Deployment) Deploy() error {
 		}
 		// Account the instance's cost even when it failed: retries and
 		// backoff consumed real (virtual) time.
-		if d.opts.Parallel {
+		if parallel {
 			finish[inst.ID] = vstart + sink.d
 			if finish[inst.ID] > maxFinish {
 				maxFinish = finish[inst.ID]
@@ -446,7 +456,7 @@ func (d *Deployment) Deploy() error {
 			break
 		}
 	}
-	if d.opts.Parallel {
+	if parallel {
 		d.elapsed = maxFinish
 	} else {
 		d.elapsed = total
@@ -570,16 +580,8 @@ type PlannedAction struct {
 // plan lists, in dependency order, each driver's shortest action path to
 // active.
 func (d *Deployment) Plan() []PlannedAction {
-	return d.planInstances(d.order)
-}
-
-// planInstances computes the dry-run action sequence for a subset of
-// instances, in the given order. Each instance's path depends only on
-// its own driver's current state, so disjoint subsets can be planned
-// concurrently.
-func (d *Deployment) planInstances(insts []*spec.Instance) []PlannedAction {
 	var plan []PlannedAction
-	for _, inst := range insts {
+	for _, inst := range d.order {
 		drv := d.drivers[inst.ID]
 		cur := drv.State()
 		path := drv.SM.PathTo(cur, driver.Active)
@@ -597,36 +599,6 @@ func (d *Deployment) planInstances(insts []*spec.Instance) []PlannedAction {
 		}
 	}
 	return plan
-}
-
-// PlanByMachine computes each machine's dry-run action batch — the
-// subsequence of Plan whose instances run on that machine, in the same
-// dependency order — fanning the per-machine computation over a worker
-// pool of the given width (≤ 1 = sequential). Concatenating the
-// batches machine-by-machine partitions Plan exactly; the multi-host
-// coordinator ships one batch per slave.
-func (d *Deployment) PlanByMachine(workers int) map[string][]PlannedAction {
-	var machines []string
-	grouped := make(map[string][]*spec.Instance)
-	for _, inst := range d.order {
-		mname := inst.Machine
-		if mname == "" {
-			mname = inst.ID
-		}
-		if _, ok := grouped[mname]; !ok {
-			machines = append(machines, mname)
-		}
-		grouped[mname] = append(grouped[mname], inst)
-	}
-	batches := make([][]PlannedAction, len(machines))
-	conc.ParallelFor(len(machines), workers, func(i int) {
-		batches[i] = d.planInstances(grouped[machines[i]])
-	})
-	out := make(map[string][]PlannedAction, len(machines))
-	for i, m := range machines {
-		out[m] = batches[i]
-	}
-	return out
 }
 
 // Adopt marks instances of this (not yet deployed) deployment as

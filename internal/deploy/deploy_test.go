@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,21 +18,12 @@ import (
 
 // eventLog records driver action invocations in order.
 type eventLog struct {
-	mu     sync.Mutex
 	events []string
 }
 
-func (l *eventLog) add(e string) {
-	l.mu.Lock()
-	l.events = append(l.events, e)
-	l.mu.Unlock()
-}
+func (l *eventLog) add(e string) { l.events = append(l.events, e) }
 
-func (l *eventLog) list() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]string(nil), l.events...)
-}
+func (l *eventLog) list() []string { return append([]string(nil), l.events...) }
 
 func (l *eventLog) indexOf(e string) int {
 	for i, x := range l.list() {
@@ -242,6 +232,47 @@ func TestParallelFasterThanSerial(t *testing.T) {
 	}
 }
 
+// DeployConcurrent is the walk with critical-path accounting whatever
+// Options.Parallel says: the same dependency ordering, and the Elapsed
+// of Deploy with Parallel set.
+func TestDeployConcurrentOpenMRS(t *testing.T) {
+	log := &eventLog{}
+	d, w := newDeployment(t, log, false)
+	if err := d.DeployConcurrent(); err != nil {
+		t.Fatal(err)
+	}
+	if !d.Deployed() {
+		t.Fatalf("all drivers should be active: %v", d.Status())
+	}
+	m, _ := w.Machine("server")
+	if !m.Listening(3306) || !m.Listening(8080) {
+		t.Error("services should be listening")
+	}
+	mysqlID := ""
+	for _, inst := range d.Instances() {
+		if inst.Key.Name == "MySQL" {
+			mysqlID = inst.ID
+		}
+	}
+	if log.indexOf("start:tomcat") > log.indexOf("start:openmrs") {
+		t.Error("tomcat must start before openmrs")
+	}
+	if log.indexOf("start:"+mysqlID) > log.indexOf("start:openmrs") {
+		t.Error("mysql must start before openmrs")
+	}
+	if log.indexOf("install:tomcat") > log.indexOf("start:tomcat") {
+		t.Error("tomcat must install before starting")
+	}
+
+	par, _ := newDeployment(t, &eventLog{}, true)
+	if err := par.Deploy(); err != nil {
+		t.Fatal(err)
+	}
+	if d.Elapsed() != par.Elapsed() {
+		t.Errorf("DeployConcurrent elapsed %v != parallel Deploy elapsed %v", d.Elapsed(), par.Elapsed())
+	}
+}
+
 func TestShutdownReverseOrder(t *testing.T) {
 	log := &eventLog{}
 	d, w := newDeployment(t, log, false)
@@ -369,6 +400,33 @@ func TestDriverActionFailureSurfaces(t *testing.T) {
 	err = d.Deploy()
 	if err == nil || !strings.Contains(err.Error(), "disk corruption") {
 		t.Errorf("driver failure should abort deploy: %v", err)
+	}
+	if d.Deployed() {
+		t.Error("failed deploy must not report deployed")
+	}
+}
+
+func TestDeployConcurrentFailurePropagates(t *testing.T) {
+	reg, err := testlib.OpenMRSRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dr := testDrivers(&eventLog{})
+	// Override MySQL with a failing installer.
+	dr.RegisterName("MySQL", func(ctx *driver.Context) *driver.StateMachine {
+		return driver.ServiceMachine(
+			func(*driver.Context) error { return fmt.Errorf("failing disk") },
+			nil, nil, nil, nil)
+	})
+	d, err := New(openmrsFull(t), Options{
+		Registry: reg, Drivers: dr, World: machine.NewWorld(), Index: testIndex(), ProvisionMissing: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = d.DeployConcurrent()
+	if err == nil || !strings.Contains(err.Error(), "failing disk") {
+		t.Errorf("failure should propagate: %v", err)
 	}
 	if d.Deployed() {
 		t.Error("failed deploy must not report deployed")

@@ -166,73 +166,71 @@ func TestActionTimeout(t *testing.T) {
 	}
 }
 
-// A concurrent deployment whose guard can never hold terminates with a
-// structured deadlock error instead of hanging (regression: this used
-// to block forever on cond.Wait).
+// A guard that can never hold fails the walk at once, through either
+// entry point, as a structured error naming the blocked action and
+// wrapping the driver's BlockedError, not a hang.
 func TestDeployConcurrentDeadlock(t *testing.T) {
-	log := &eventLog{}
-	reg, err := testlib.OpenMRSRegistry()
-	if err != nil {
-		t.Fatal(err)
-	}
-	drivers := testDrivers(log)
-	// Rebind MySQL's start to a guard no neighbour ever satisfies.
-	drivers.RegisterName("MySQL", func(ctx *driver.Context) *driver.StateMachine {
-		sm := driver.ServiceMachine(
-			func(c *driver.Context) error { return nil },
-			func(c *driver.Context) error { return nil },
-			func(c *driver.Context) error { return nil },
-			func(c *driver.Context) error { return nil },
-			func(c *driver.Context) error { return nil },
-		)
-		for i := range sm.Actions {
-			if sm.Actions[i].Name == "start" {
-				sm.Actions[i].Guard = driver.Guard{{Dir: driver.Upstream, State: driver.State("quiesced")}}
+	for _, entry := range []struct {
+		name string
+		run  func(*Deployment) error
+	}{
+		{"Deploy", (*Deployment).Deploy},
+		{"DeployConcurrent", (*Deployment).DeployConcurrent},
+	} {
+		t.Run(entry.name, func(t *testing.T) {
+			reg, err := testlib.OpenMRSRegistry()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return sm
-	})
-	w := machine.NewWorld()
-	d, err := New(openmrsFull(t), Options{
-		Registry:         reg,
-		Drivers:          drivers,
-		World:            w,
-		Index:            testIndex(),
-		ProvisionMissing: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+			drivers := testDrivers(&eventLog{})
+			// Rebind MySQL's start to a guard no neighbour ever satisfies.
+			drivers.RegisterName("MySQL", func(ctx *driver.Context) *driver.StateMachine {
+				sm := driver.ServiceMachine(
+					func(c *driver.Context) error { return nil },
+					func(c *driver.Context) error { return nil },
+					func(c *driver.Context) error { return nil },
+					func(c *driver.Context) error { return nil },
+					func(c *driver.Context) error { return nil },
+				)
+				for i := range sm.Actions {
+					if sm.Actions[i].Name == "start" {
+						sm.Actions[i].Guard = driver.Guard{{Dir: driver.Upstream, State: driver.State("quiesced")}}
+					}
+				}
+				return sm
+			})
+			d, err := New(openmrsFull(t), Options{
+				Registry:         reg,
+				Drivers:          drivers,
+				World:            machine.NewWorld(),
+				Index:            testIndex(),
+				ProvisionMissing: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	err = d.DeployConcurrent()
-	if err == nil {
-		t.Fatal("unsatisfiable guard must be reported, not hang")
-	}
-	derr, ok := err.(*DeployError)
-	if !ok || !derr.Deadlock {
-		t.Fatalf("want deadlock DeployError, got %T: %v", err, err)
-	}
-	var mysqlGuard string
-	sawOpenMRS := false
-	for _, b := range derr.Blocked {
-		if strings.HasPrefix(b.Instance, "mysql") {
-			mysqlGuard = b.Guard
-		}
-		if b.Instance == "openmrs" {
-			sawOpenMRS = true
-		}
-	}
-	if !strings.Contains(mysqlGuard, "quiesced") {
-		t.Errorf("mysql should be reported blocked on its bogus guard; got %v", derr.Blocked)
-	}
-	if !sawOpenMRS {
-		t.Errorf("openmrs (waiting on mysql) should be reported blocked; got %v", derr.Blocked)
+			err = entry.run(d)
+			var derr *DeployError
+			if !errors.As(err, &derr) {
+				t.Fatalf("unsatisfiable guard must fail as *DeployError, got %T: %v", err, err)
+			}
+			if !strings.HasPrefix(derr.Instance, "mysql") || derr.Action != "start" {
+				t.Errorf("failure attribution = %q/%q, want mysql's start", derr.Instance, derr.Action)
+			}
+			var berr *driver.BlockedError
+			if !errors.As(err, &berr) || !strings.Contains(berr.Guard.String(), "quiesced") {
+				t.Errorf("error should wrap the BlockedError on the bogus guard: %v", err)
+			}
+			if len(derr.States) == 0 {
+				t.Error("States should record per-instance terminal states")
+			}
+		})
 	}
 }
 
-// Concurrent failures keep the first error and collect the rest instead
-// of overwriting (regression: the old implementation kept only the last
-// failure to be recorded).
+// A failure on the critical-path walk is structured: it names the
+// failing instance and records every instance's terminal state.
 func TestDeployConcurrentFailureIsStructured(t *testing.T) {
 	plan := fault.NewPlan(1).FailPersistent(machine.OpStartProcess, "", "mysql")
 	d, _ := newFaultDeployment(t, &eventLog{}, plan, nil)
@@ -245,19 +243,14 @@ func TestDeployConcurrentFailureIsStructured(t *testing.T) {
 		t.Fatalf("error should be *DeployError, got %T: %v", err, err)
 	}
 	if !strings.HasPrefix(derr.Instance, "mysql") {
-		t.Errorf("first failure should name the mysql instance, got %q", derr.Instance)
-	}
-	for _, extra := range derr.Additional {
-		if _, ok := extra.(*DeployError); !ok {
-			t.Errorf("additional failures should be structured, got %T", extra)
-		}
+		t.Errorf("failure should name the mysql instance, got %q", derr.Instance)
 	}
 	if len(derr.States) == 0 {
 		t.Error("States should be populated")
 	}
 }
 
-// Concurrent deployments honor FailRollback too.
+// The critical-path walk honors FailRollback too.
 func TestDeployConcurrentRollback(t *testing.T) {
 	plan := fault.NewPlan(1).FailPersistent(machine.OpStartProcess, "", "openmrs")
 	d, w := newFaultDeployment(t, &eventLog{}, plan, func(o *Options) {
@@ -274,7 +267,7 @@ func TestDeployConcurrentRollback(t *testing.T) {
 	for _, name := range w.Machines() {
 		m, _ := w.Machine(name)
 		if len(m.Processes()) != 0 || len(m.Ports()) != 0 {
-			t.Errorf("machine %s: orphans after concurrent rollback", name)
+			t.Errorf("machine %s: orphans after rollback", name)
 		}
 	}
 }

@@ -77,38 +77,3 @@ func TestNewParallelFirstErrorInOrder(t *testing.T) {
 		}
 	}
 }
-
-// PlanByMachine must partition Plan exactly: every machine's batch is
-// the Plan subsequence of that machine's instances, and nothing is
-// dropped or duplicated.
-func TestPlanByMachinePartitionsPlan(t *testing.T) {
-	d := newDeploymentP(t, &eventLog{}, 0)
-	plan := d.Plan()
-	for _, workers := range []int{0, 1, 4} {
-		batches := d.PlanByMachine(workers)
-		total := 0
-		for mname, batch := range batches {
-			var want []PlannedAction
-			for _, pa := range plan {
-				inst, ok := d.full.Find(pa.Instance)
-				if !ok {
-					t.Fatalf("planned action for unknown instance %q", pa.Instance)
-				}
-				m := inst.Machine
-				if m == "" {
-					m = inst.ID
-				}
-				if m == mname {
-					want = append(want, pa)
-				}
-			}
-			if !reflect.DeepEqual(batch, want) {
-				t.Fatalf("workers=%d machine %q: batch %v, want plan subsequence %v", workers, mname, batch, want)
-			}
-			total += len(batch)
-		}
-		if total != len(plan) {
-			t.Fatalf("workers=%d: batches hold %d actions, plan has %d", workers, total, len(plan))
-		}
-	}
-}

@@ -8,7 +8,6 @@ package deploy
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -104,39 +103,20 @@ func (r RetryPolicy) backoff(attempt int) time.Duration {
 	return d
 }
 
-// BlockedInstance names one instance stuck on an unsatisfied guard when
-// a concurrent deployment deadlocks.
-type BlockedInstance struct {
-	Instance string
-	Action   string
-	Guard    string
-}
-
 // DeployError is the structured error of a failed deployment: which
 // action on which instance failed after how many attempts, every
-// instance's terminal state, whether the world was rolled back, and —
-// for concurrent deployments — any additional failures beyond the first
-// and the blocked instances of a detected deadlock.
+// instance's terminal state, and whether the world was rolled back.
 type DeployError struct {
-	// Instance and Action identify the first failure ("" for
-	// deadlocks, which have no failing action).
+	// Instance and Action identify the failure.
 	Instance string
 	Action   string
 	// Attempts is how many times the failing action was tried.
 	Attempts int
-	// Err is the underlying driver/substrate error (nil for deadlocks).
+	// Err is the underlying driver/substrate error.
 	Err error
 	// States records every instance's terminal state at failure time
 	// (before any rollback).
 	States map[string]driver.State
-	// Additional collects failures beyond the first from other workers
-	// of a concurrent deployment.
-	Additional []error
-	// Deadlock is set when every unfinished worker of a concurrent
-	// deployment was blocked on a guard that could never become true;
-	// Blocked names them.
-	Deadlock bool
-	Blocked  []BlockedInstance
 	// RolledBack reports that the FailRollback policy restored the
 	// world; RollbackErr is non-nil if that restoration itself failed.
 	RolledBack  bool
@@ -148,29 +128,19 @@ type DeployError struct {
 
 func (e *DeployError) Error() string {
 	var b strings.Builder
-	if e.Deadlock {
-		fmt.Fprintf(&b, "deploy: deadlock: %d instance(s) blocked on guards that can never hold:", len(e.Blocked))
-		for _, bl := range e.Blocked {
-			fmt.Fprintf(&b, " [%s: action %q awaits %s]", bl.Instance, bl.Action, bl.Guard)
-		}
-	} else {
-		fmt.Fprintf(&b, "deploy: instance %q", e.Instance)
-		if e.Action != "" {
-			fmt.Fprintf(&b, ": action %q", e.Action)
-		}
-		if e.Attempts == 1 {
-			b.WriteString(" failed after 1 attempt")
-		} else if e.Attempts > 1 {
-			fmt.Fprintf(&b, " failed after %d attempts", e.Attempts)
-		} else {
-			b.WriteString(" failed")
-		}
-		if e.Err != nil {
-			fmt.Fprintf(&b, ": %v", e.Err)
-		}
+	fmt.Fprintf(&b, "deploy: instance %q", e.Instance)
+	if e.Action != "" {
+		fmt.Fprintf(&b, ": action %q", e.Action)
 	}
-	if n := len(e.Additional); n > 0 {
-		fmt.Fprintf(&b, " (+%d additional failure(s))", n)
+	if e.Attempts == 1 {
+		b.WriteString(" failed after 1 attempt")
+	} else if e.Attempts > 1 {
+		fmt.Fprintf(&b, " failed after %d attempts", e.Attempts)
+	} else {
+		b.WriteString(" failed")
+	}
+	if e.Err != nil {
+		fmt.Fprintf(&b, ": %v", e.Err)
 	}
 	if e.RolledBack {
 		if e.RollbackErr != nil {
@@ -178,7 +148,7 @@ func (e *DeployError) Error() string {
 		} else {
 			b.WriteString(" [rolled back]")
 		}
-	} else if !e.Deadlock {
+	} else {
 		fmt.Fprintf(&b, " [aborted; policy %s]", e.Policy)
 	}
 	return b.String()
@@ -279,29 +249,4 @@ func (d *Deployment) rollbackWorld(snap *worldSnapshot) error {
 		}
 	}
 	return err
-}
-
-// deadlockError builds the structured deadlock report from the blocked
-// workers, sorted by instance for determinism.
-func deadlockError(blocked map[string]*blockedWait) *DeployError {
-	derr := &DeployError{Deadlock: true}
-	for id, bw := range blocked {
-		derr.Blocked = append(derr.Blocked, BlockedInstance{
-			Instance: id,
-			Action:   bw.action,
-			Guard:    bw.guard.String(),
-		})
-	}
-	sort.Slice(derr.Blocked, func(i, j int) bool { return derr.Blocked[i].Instance < derr.Blocked[j].Instance })
-	return derr
-}
-
-// blockedWait records why a concurrent worker is parked: the action and
-// guard it is waiting on, and the state generation its guard was last
-// evaluated against (deadlock is declared only when every unfinished
-// worker is parked with a current evaluation).
-type blockedWait struct {
-	action string
-	guard  driver.Guard
-	gen    int
 }

@@ -304,7 +304,8 @@ func (e *BlockedError) Error() string {
 // Fire executes the named action from the current state. If the guard
 // does not hold it returns a *BlockedError without running the action
 // (the paper's semantics: "the transition blocks until the guard
-// becomes true" — the deployment engine retries).
+// becomes true"). The deployment engine fires in dependency order, so
+// there a blocked guard is a failure.
 func (d *Driver) Fire(name string, env GuardEnv) error {
 	a, ok := d.SM.find(d.cur, name)
 	if !ok {

@@ -65,9 +65,7 @@ func writeStages(w io.Writer, t *Trace) {
 	}
 	for _, d := range deps {
 		mode := "sequential"
-		if b, _ := d.Attrs["concurrent"].(bool); b {
-			mode = "concurrent"
-		} else if b, _ := d.Attrs["parallel"].(bool); b {
+		if b, _ := d.Attrs["parallel"].(bool); b {
 			mode = "parallel"
 		}
 		detail := fmt.Sprintf("%d instances, %s", d.Int("instances"), mode)

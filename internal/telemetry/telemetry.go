@@ -50,7 +50,7 @@ type Tracer struct {
 
 // New returns a tracer writing JSON lines to w, stamping virtual times
 // from clock (nil = wall clock). Emission is serialized internally, so
-// one tracer may be shared by concurrent deployment workers.
+// one tracer may be shared by concurrent API requests.
 func New(w io.Writer, clock Clock) *Tracer {
 	return &Tracer{w: w, clock: clock}
 }

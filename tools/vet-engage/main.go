@@ -16,8 +16,8 @@
 //     the line above it) carries an //engage:wallclock comment, which
 //     marks a deliberate wall-time measurement such as the span
 //     wall-duration axis. Test files are exempt — they may time
-//     themselves — except the work-counter tests (wallclockTestFiles),
-//     whose assertions must be counts.
+//     themselves — except the work-counter and deploy-digest tests
+//     (wallclockTestFiles), whose assertions must be counts or digests.
 //
 //   - maporder: the output-producing packages (internal/telemetry,
 //     lint, store, certify) promise deterministic output — traces,
@@ -91,9 +91,11 @@ var maporderDirs = map[string]bool{
 }
 
 // wallclockTestFiles are the test files the wallclock check covers
-// anyway: tests that pin the engine's work as counts.
+// anyway: tests that pin the engine's work as counts or its outcome as
+// digests.
 var wallclockTestFiles = map[string]bool{
 	"internal/workload/counts_test.go": true,
+	"internal/workload/deploy_test.go": true,
 }
 
 const nilguardDir = "internal/telemetry"
