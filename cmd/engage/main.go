@@ -365,7 +365,7 @@ func cmdSolve(args []string, out *os.File) error {
 	solverName := fs.String("solver", "cdcl", "SAT solver: cdcl or dpll")
 	encName := fs.String("encoding", "pairwise", "exactly-one encoding: pairwise or ladder")
 	minimal := fs.Bool("minimal", false, "compute a subset-minimal installation (OPIUM-style)")
-	parallel := fs.Int("parallel", 0, "N ≥ 1 selects the scale path: memoised hypergraph generation, a portfolio of N SAT workers with a canonical model (the same answer at every N ≥ 1), N constraint-emission workers; no worker pool in hypergraph generation, spec build or port propagation (0 = the paper's uncached generator and one plain solve)")
+	parallel := fs.Int("parallel", 0, "≥ 1 selects the memoised resolver, N-way constraint emission and the canonical (lex-least) model; one solver search at every N (0 = the paper's uncached generator and the plain solve)")
 	tracePath := fs.String("trace", "", "write a JSON-lines telemetry trace to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -970,7 +970,7 @@ func cmdServe(args []string, out *os.File) error {
 	rdlFiles := fs.String("rdl", "", "comma-separated RDL files (default: bundled library)")
 	statePath := fs.String("state", "", "deployment store file: loaded at startup, flushed on shutdown")
 	poolIdle := fs.Int("pool", 4, "idle warm sessions kept per request shape")
-	parallel := fs.Int("parallel", 0, "for every configuration and deployment the server performs: N ≥ 1 selects memoised hypergraph generation, a portfolio of N SAT workers with a canonical model, and a deploy preparation pool of N; no worker pool in hypergraph generation, spec build or port propagation (0 = the paper's uncached generator and one plain solve)")
+	parallel := fs.Int("parallel", 0, "for every configuration and deployment the server performs: ≥ 1 selects the memoised resolver, N-way constraint emission and the canonical (lex-least) model; one solver search at every N; and a deploy preparation pool of N (0 = the paper's uncached generator and the plain solve)")
 	tracePath := fs.String("trace", "", "write a JSON-lines telemetry trace to this file")
 	if err := fs.Parse(args); err != nil {
 		return err

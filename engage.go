@@ -188,11 +188,11 @@ type System struct {
 	Cache    *pkgmgr.Cache
 	// Parallel enables virtual-time parallel deployment.
 	Parallel bool
-	// Parallelism ≥ 1 selects the scale path: memoised hypergraph
-	// generation, constraint emission and deployment preparation over
-	// worker pools of that width, and a SAT portfolio of that many
-	// workers whose model is canonicalized. ≤ 0 runs the paper's
-	// uncached generator and one plain solve.
+	// Parallelism ≥ 1 selects the memoised resolver, N-way constraint
+	// emission and the canonical (lex-least) model; one solver search at
+	// every N. It also sizes the deployment preparation pool. ≤ 0 runs
+	// the paper's uncached generator and the plain, uncanonicalized
+	// solve.
 	Parallelism int
 	// OnFailure selects what a failing deployment does: abort (default),
 	// retry with backoff, or retry then roll the world back.

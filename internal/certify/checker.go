@@ -8,7 +8,7 @@
 // (this file) plus clause evaluation: a proof is replayed step by step
 // and each lemma is accepted only if asserting its negation and
 // propagating yields a conflict (reverse unit propagation, RUP). A bug
-// in the solver's learning, exchange, or deletion logic therefore
+// in the solver's learning, minimization, or deletion logic therefore
 // surfaces as a refuted proof instead of a wrong deployment.
 package certify
 

@@ -101,11 +101,10 @@ func TestCheckerFuzz(t *testing.T) {
 
 		var res sat.Result
 		if seed%3 == 0 {
-			// Every third seed solves through the certified portfolio so
-			// shared-proof logging (flush-before-publish, suppressed
-			// deletes, loser discard) is fuzzed too.
-			pr := sat.SolvePortfolioCertified(f, 4, 0)
-			res = pr.Result
+			// Every third seed solves on a proof-logging incremental
+			// session, where logging starts after the formula is loaded,
+			// so session proofs are fuzzed too.
+			res = (&sat.CDCL{LogProof: true}).StartIncremental(f).SolveAssuming(nil)
 		} else {
 			res = (&sat.CDCL{LogProof: true}).Solve(f)
 		}

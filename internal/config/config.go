@@ -32,16 +32,15 @@ type Engine struct {
 	Registry *resource.Registry
 	Solver   sat.Solver
 	Encoding constraint.Encoding
-	// Parallelism ≥ 1 selects the scale path: hypergraph generation on
-	// the memoised resolver, constraint emission over a worker pool of
-	// that width, and — with the CDCL solver — a racing portfolio of
-	// that many workers whose winning model is canonicalized, so the
-	// full specification is byte-identical at any parallelism ≥ 1 (see
-	// internal/workload's differential suites). Values ≤ 0 run the
-	// paper's uncached generator and one plain solve, which skips
-	// canonicalization and may therefore pick a different — equally
-	// valid — model. Build and port propagation are one serial walk at
-	// every value.
+	// Parallelism ≥ 1 selects the memoised resolver, N-way constraint
+	// emission and the canonical (lex-least) model; one solver search at
+	// every N. With the CDCL solver the first solve's model is
+	// canonicalized on its session, so the full specification is
+	// byte-identical at any parallelism ≥ 1 (see internal/workload's
+	// differential suites). Values ≤ 0 run the paper's uncached generator
+	// and the plain solve, which skips canonicalization and may therefore
+	// pick a different — equally valid — model. Build and port
+	// propagation are one serial walk at every value.
 	Parallelism int
 	// Tracer, when non-nil, receives one span per pipeline stage
 	// (config.graph / config.encode / config.solve / config.build under
@@ -80,8 +79,8 @@ type Stats struct {
 	Clauses    int
 	Solver     sat.Stats
 	// Per-stage wall clock: hypergraph generation, constraint
-	// encoding, SAT solving (portfolio + canonicalization when
-	// parallel), and build+propagate+check.
+	// encoding, SAT solving (plus canonicalization when parallel), and
+	// build+propagate+check.
 	GraphWall  time.Duration
 	EncodeWall time.Duration
 	SolveWall  time.Duration
@@ -147,9 +146,9 @@ func (e *Engine) ConfigureStats(partial *spec.Partial) (full *spec.Full, st Stat
 	if err != nil {
 		return nil, st, err
 	}
-	// The session is dropped here, not held through finish: the
-	// portfolio winner's solver state is the largest thing the pipeline
-	// allocates, and build + CheckSpec have no use for it.
+	// The session is dropped here, not held through finish: its solver
+	// state is the largest thing the pipeline allocates, and build +
+	// CheckSpec have no use for it.
 	_, model, err := e.solve(root, g, prob, partial, &st)
 	if err != nil {
 		return nil, st, err
@@ -191,25 +190,35 @@ func (e *Engine) solver() sat.Solver {
 	return e.Solver
 }
 
-// solve runs the first solve and returns the session it ran on with
-// the model it proved. At Parallelism ≥ 1 (CDCL only) that is a racing
-// portfolio whose winning model is canonicalized on the winner's
-// session — which leaves the session strengthened with one unit clause
-// per instance variable: still satisfiable under any pinning of the
-// returned model, but with no other model left to enumerate. Otherwise
-// it is one plain solve on a fresh session.
+// solve runs the first solve on a fresh session and returns the session
+// with the model it proved. At Parallelism ≥ 1, on a warm CDCL session,
+// that model is then canonicalized over the instance variables in graph
+// order — which leaves the session strengthened with one unit clause per
+// instance variable: still satisfiable under any pinning of the returned
+// model, but with no other model left to enumerate. The reported effort
+// is the first solve's plus what canonicalizing spent on the session.
 func (e *Engine) solve(root *telemetry.Span, g *hypergraph.Graph, prob *constraint.Problem, partial *spec.Partial, st *Stats) (sat.IncrementalSolver, []bool, error) {
 	solver := e.solver()
 	sp := root.Child("config.solve").Str("solver", solver.Name())
 	start := time.Now()
-	var inc sat.IncrementalSolver
-	var res sat.Result
+	inc := sat.StartIncremental(solver, prob.Formula)
+	res := inc.SolveAssuming(nil)
 	var err error
-	if _, isCDCL := solver.(*sat.CDCL); e.Parallelism > 0 && isCDCL {
-		inc, res, err = e.solvePortfolio(g, prob, sp)
-	} else {
-		inc = sat.StartIncremental(solver, prob.Formula)
-		res = inc.SolveAssuming(nil)
+	if sess, warm := inc.(*sat.Incremental); warm && e.Parallelism > 0 && res.Status == sat.Sat {
+		before := sess.TotalStats()
+		var solves int
+		res.Model, solves, err = sat.CanonicalModel(sess, res.Model, instanceVars(g, prob))
+		after := sess.TotalStats()
+		res.Stats.Decisions += after.Decisions - before.Decisions
+		res.Stats.Propagations += after.Propagations - before.Propagations
+		res.Stats.Conflicts += after.Conflicts - before.Conflicts
+		res.Stats.Learned += after.Learned - before.Learned
+		res.Stats.Restarts += after.Restarts - before.Restarts
+		res.Stats.ProofSteps += after.ProofSteps - before.ProofSteps
+		if err != nil {
+			err = fmt.Errorf("config: canonicalizing model: %w", err)
+		}
+		sp.Int("canon_solves", int64(solves))
 	}
 	st.SolveWall = time.Since(start)
 	st.Solver = res.Stats
@@ -225,52 +234,6 @@ func (e *Engine) solve(root *telemetry.Span, g *hypergraph.Graph, prob *constrai
 	default:
 		return nil, nil, fmt.Errorf("config: solver %q gave up", solver.Name())
 	}
-}
-
-// solvePortfolio is the parallel solve stage: a racing portfolio of
-// e.Parallelism CDCL workers followed by canonicalization of the
-// winning model over the instance variables in graph order, on the
-// winner's session. It emits one "solve.portfolio" event per worker on
-// sp (the winner's effort, and each loser's effort at the moment the
-// stop flag cancelled it) and stamps the portfolio shape onto sp itself.
-// The result's Stats are the whole stage's effort: every worker's, plus
-// what canonicalizing spent on the winner's session.
-func (e *Engine) solvePortfolio(g *hypergraph.Graph, prob *constraint.Problem, sp *telemetry.Span) (sat.IncrementalSolver, sat.Result, error) {
-	pr := sat.SolvePortfolio(prob.Formula, e.Parallelism)
-	for _, w := range pr.Workers {
-		sp.Event("solve.portfolio").
-			Int("worker", int64(w.Worker)).
-			Bool("winner", w.Winner).
-			Str("status", w.Status.String()).
-			Int("restarts", w.Stats.Restarts).
-			Int("conflicts", w.Stats.Conflicts).
-			Int("decisions", w.Stats.Decisions).
-			Int("shared_in", w.SharedIn).
-			Int("shared_out", w.SharedOut).
-			Emit()
-	}
-	sp.Int("portfolio_workers", int64(len(pr.Workers))).Int("portfolio_winner", int64(pr.Winner))
-	res := pr.Result
-	res.Stats = pr.TotalStats() // honest effort: all workers, not just the winner
-	if res.Status != sat.Sat {
-		return nil, res, nil
-	}
-	sess := pr.Session()
-	before := sess.TotalStats()
-	canon, solves, err := sat.CanonicalModel(sess, res.Model, instanceVars(g, prob))
-	after := sess.TotalStats()
-	res.Stats.Decisions += after.Decisions - before.Decisions
-	res.Stats.Propagations += after.Propagations - before.Propagations
-	res.Stats.Conflicts += after.Conflicts - before.Conflicts
-	res.Stats.Learned += after.Learned - before.Learned
-	res.Stats.Restarts += after.Restarts - before.Restarts
-	res.Stats.ProofSteps += after.ProofSteps - before.ProofSteps
-	if err != nil {
-		return nil, res, fmt.Errorf("config: canonicalizing portfolio model: %w", err)
-	}
-	sp.Int("canon_solves", int64(solves))
-	res.Model = canon
-	return sess, res, nil
 }
 
 // instanceVars lists the instance variables in graph order — the

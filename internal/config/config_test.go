@@ -302,9 +302,9 @@ func testlibResolve(src string) (*resource.Registry, error) {
 }
 
 // The canonicaliser's effort must be in the reported stats: at
-// Parallelism 1 (a portfolio of one is deterministic) Stats.Solver is
-// the portfolio's total plus what CanonicalModel spends on the winner's
-// session, re-derived here by hand on the same formula.
+// Parallelism 1 Stats.Solver is what the first SolveAssuming reports
+// plus what CanonicalModel spends on the same session, re-derived here
+// by hand on the same formula.
 func TestStatsCountCanonicalisation(t *testing.T) {
 	e := engine(t)
 	e.Parallelism = 1
@@ -318,11 +318,11 @@ func TestStatsCountCanonicalisation(t *testing.T) {
 		t.Fatal(err)
 	}
 	prob := constraint.Encode(g, constraint.Pairwise)
-	pr := sat.SolvePortfolio(prob.Formula, 1)
-	want := pr.TotalStats()
-	sess := pr.Session()
+	sess := sat.NewCDCL().StartIncremental(prob.Formula).(*sat.Incremental)
+	res := sess.SolveAssuming(nil)
+	want := res.Stats
 	before := sess.TotalStats()
-	if _, _, err := sat.CanonicalModel(sess, pr.Result.Model, instanceVars(g, prob)); err != nil {
+	if _, _, err := sat.CanonicalModel(sess, res.Model, instanceVars(g, prob)); err != nil {
 		t.Fatal(err)
 	}
 	after := sess.TotalStats()
@@ -337,6 +337,6 @@ func TestStatsCountCanonicalisation(t *testing.T) {
 		t.Fatal("canonicalisation reported no effort; the test would pass vacuously")
 	}
 	if st.Solver != want {
-		t.Errorf("Stats.Solver = %+v, want portfolio + canonicalisation = %+v", st.Solver, want)
+		t.Errorf("Stats.Solver = %+v, want first solve + canonicalisation = %+v", st.Solver, want)
 	}
 }

@@ -20,8 +20,9 @@ import (
 // SolveAssuming(¬v) on warm solver state (learned clauses, activity, and
 // phases carry over), and the decision is committed as a unit AddClause —
 // no cold restarts, no formula copying, at most one re-solve per graph
-// node. (At Parallelism ≥ 1 the first solve's canonical model is
-// already subset-minimal and every trial confirms it.)
+// node. (At Parallelism ≥ 1 the first solve's model is canonicalized on
+// this same session, so it is already subset-minimal and every trial
+// confirms it.)
 func (e *Engine) ConfigureMinimal(partial *spec.Partial) (full *spec.Full, err error) {
 	root := e.Tracer.Span("config.minimal")
 	var st Stats

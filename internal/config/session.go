@@ -23,8 +23,8 @@ import (
 // was built from. Model is always the model proven for the un-pinned
 // request: it is what Resolve rebuilds from, so a session answers its
 // request with the same bytes whatever it was lent out for in between.
-// At Parallelism ≥ 1 Inc is the portfolio winner's session, which the
-// canonicaliser has committed to Model on every instance variable.
+// At Parallelism ≥ 1 the canonicaliser has committed Inc to Model on
+// every instance variable.
 type Session struct {
 	Graph   *hypergraph.Graph
 	Problem *constraint.Problem

@@ -30,11 +30,10 @@ import "fmt"
 //
 // The answer is a pure function of the clause set and order — never of
 // the session's learnt clauses, activity or phases — so two sessions
-// over the same clause set agree on every variable in order whichever
-// portfolio worker they came from. That is what makes portfolio solving
-// reproducible. It also subsumes the minimal-configuration guarantee on
-// the ordered variables (no true variable can be flipped false, which
-// is exactly the shed loop's post-condition).
+// over the same clause set agree on every variable in order however
+// their earlier searches went. It also subsumes the minimal-configuration
+// guarantee on the ordered variables (no true variable can be flipped
+// false, which is exactly the shed loop's post-condition).
 //
 // The session is then permanently strengthened with one unit clause per
 // ordered variable, and the mode is off again on every return path: a
@@ -42,7 +41,7 @@ import "fmt"
 // canonical model and n the number of solver calls spent, always 1.
 // model is not read — any model of the clause set gives the same answer
 // (a per-variable walk that does start from one is the test oracle in
-// portfolio_test.go). A variable listed twice keeps its first rank; one
+// canonical_test.go). A variable listed twice keeps its first rank; one
 // above the session's variables grows the session; a non-positive one,
 // or a session with no model, is an error.
 func CanonicalModel(in *Incremental, model []bool, order []int) (canon []bool, n int, err error) {

@@ -3,7 +3,6 @@ package sat
 import (
 	"slices"
 	"sort"
-	"sync/atomic"
 )
 
 // CDCL is a conflict-driven clause-learning solver in the MiniSat
@@ -117,27 +116,7 @@ type cdclState struct {
 	ok         bool
 	addScratch []ilit // addClause's sort buffer, reused across clauses
 
-	// Proof logging (see proof.go); nil when logging is off.
-	proof        *Proof      // derivation log (possibly shared across a portfolio)
-	proofShared  bool        // stage steps in proofPending, flush before publish
-	proofPending []proofStep // staged steps awaiting flush (shared mode only)
-
-	// Portfolio hooks (see portfolio.go); all zero outside portfolio
-	// solves, in which case the solver behaves exactly like the
-	// sequential reference.
-	stop         *atomic.Bool // cooperative cancellation flag, checked in the search loop
-	exch         *exchange    // shared learned-clause buffer
-	exchID       int          // this worker's identity in exch
-	exchSeq      int          // export rotation over stripes
-	exchCursor   []int        // per-stripe read position
-	rnd          uint64       // xorshift state for random branching (0 = none)
-	randFreq     uint64       // percent of decisions branched at random
-	varDecayRate float64      // VSIDS decay factor (newState sets the default)
-	restartUnit  int64        // Luby restart base (newState sets the default)
-	defaultPhase bool         // initial branching phase for fresh variables
-	sharedIn     int64        // clauses imported from the exchange
-	sharedOut    int64        // clauses exported to the exchange
-	cancelled    bool         // last search ended by the stop flag
+	proof *Proof // derivation log (see proof.go); nil when logging is off
 }
 
 // Solve implements Solver.
@@ -151,14 +130,7 @@ func (c *CDCL) Solve(f *Formula) Result {
 }
 
 func newState(nVars int) *cdclState {
-	s := &cdclState{
-		varInc:       1,
-		claInc:       1,
-		ok:           true,
-		varDecayRate: varDecay,
-		restartUnit:  restartUnit,
-		defaultPhase: true,
-	}
+	s := &cdclState{varInc: 1, claInc: 1, ok: true}
 	s.order.s = s
 	s.ensureVars(nVars)
 	return s
@@ -185,9 +157,8 @@ func (s *cdclState) ensureVars(n int) {
 		// (MiniSat's default). In Engage's configuration problems this
 		// yields small models — resources not forced by a constraint
 		// stay undeployed. Phase saving overwrites the default with
-		// the last assigned value on backtracking. Portfolio workers
-		// may flip the default to diversify their search.
-		s.polarity = append(s.polarity, s.defaultPhase)
+		// the last assigned value on backtracking.
+		s.polarity = append(s.polarity, true)
 		s.seen = append(s.seen, false)
 	}
 	s.nVars = n
@@ -628,18 +599,13 @@ func luby(x int64) int64 {
 
 func (s *cdclState) search() Result {
 	s.core = nil
-	s.cancelled = false
 	if !s.ok {
 		return Result{Status: Unsat, Stats: s.stats, Proof: s.proof}
 	}
 	maxLearnts := len(s.clauses)/3 + 100
 	var restarts int64 // local so incremental calls restart the schedule
 	for {
-		limit := s.restartUnit * luby(restarts)
-		status, model := s.searchOnce(limit, &maxLearnts)
-		if s.cancelled {
-			return Result{Status: Unknown, Stats: s.stats}
-		}
+		status, model := s.searchOnce(restartUnit*luby(restarts), &maxLearnts)
 		if status != Unknown {
 			res := Result{Status: status, Model: model, Core: s.core, Stats: s.stats}
 			if status == Unsat {
@@ -650,16 +616,6 @@ func (s *cdclState) search() Result {
 		restarts++
 		s.stats.Restarts++
 		s.backtrackTo(0)
-		// Restart boundaries are the import points for clauses shared
-		// by other portfolio workers: the trail is back at level 0, so
-		// imported clauses can be installed and propagated soundly.
-		s.importShared()
-		if !s.ok {
-			// A shared clause closed the formula: imported clauses are
-			// implied by the (shared) problem clauses, so this is a
-			// genuine root-level unsatisfiability.
-			return Result{Status: Unsat, Stats: s.stats, Proof: s.proof}
-		}
 	}
 }
 
@@ -671,17 +627,6 @@ func (s *cdclState) search() Result {
 func (s *cdclState) searchOnce(conflictLimit int64, maxLearnts *int) (Status, []bool) {
 	var conflicts int64
 	for {
-		// Cooperative cancellation: a portfolio sibling found the
-		// answer first. Checked once per propagate/decide round — cheap
-		// relative to propagation, prompt enough for first-winner wins.
-		if s.stop != nil && s.stop.Load() {
-			s.cancelled = true
-			// Drop staged proof steps promptly: a losing worker's pending
-			// lemmas were never published, so nothing depends on them, and
-			// holding them would keep loser memory alive past cancellation.
-			s.discardProofPending()
-			return Unknown, nil
-		}
 		confl := s.propagate()
 		if confl != crefUndef {
 			s.stats.Conflicts++
@@ -697,10 +642,8 @@ func (s *cdclState) searchOnce(conflictLimit int64, maxLearnts *int) (Status, []
 				return Unsat, nil
 			}
 			learnt, back := s.analyze(confl)
-			// Log before attaching or exporting: a first-UIP clause is RUP
-			// with respect to the clause DB that produced the conflict, and
-			// flush-before-publish needs it in the log ahead of any sibling
-			// import.
+			// Log before attaching: a first-UIP clause is RUP with respect
+			// to the clause DB that produced the conflict.
 			s.logLemma(learnt)
 			s.backtrackTo(back)
 			if len(learnt) == 1 {
@@ -713,8 +656,7 @@ func (s *cdclState) searchOnce(conflictLimit int64, maxLearnts *int) (Status, []
 				s.attach(cl)
 				s.uncheckedEnqueue(learnt[0], cl)
 			}
-			s.exportLearnt(learnt)
-			s.varInc *= s.varDecayRate
+			s.varInc *= varDecay
 			s.claInc *= claDecay
 			continue
 		}
@@ -753,16 +695,7 @@ func (s *cdclState) searchOnce(conflictLimit int64, maxLearnts *int) (Status, []
 			}
 		}
 		if next < 0 {
-			v := int32(-1)
-			// Portfolio diversification: a seeded fraction of decisions
-			// branch on a random unassigned variable instead of the
-			// VSIDS maximum, pushing workers into different subtrees.
-			if s.randFreq > 0 && s.nextRand()%100 < s.randFreq {
-				v = s.pickRandomVar()
-			}
-			if v < 0 {
-				v = s.pickBranchVar()
-			}
+			v := s.pickBranchVar()
 			if v < 0 {
 				// All variables assigned: SAT.
 				model := make([]bool, s.nVars+1)
@@ -797,29 +730,6 @@ func (s *cdclState) pickOrderedVar() int32 {
 func (s *cdclState) pickBranchVar() int32 {
 	for !s.order.empty() {
 		v := s.order.pop()
-		if s.assign[v] == valUnassigned {
-			return v
-		}
-	}
-	return -1
-}
-
-// nextRand advances the worker's xorshift64 state.
-func (s *cdclState) nextRand() uint64 {
-	x := s.rnd
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	s.rnd = x
-	return x
-}
-
-// pickRandomVar probes a bounded number of random variables for an
-// unassigned one; -1 falls back to VSIDS. Leaving the probed variable
-// in the activity heap is fine — pickBranchVar skips assigned entries.
-func (s *cdclState) pickRandomVar() int32 {
-	for probe := 0; probe < 16; probe++ {
-		v := int32(s.nextRand() % uint64(s.nVars))
 		if s.assign[v] == valUnassigned {
 			return v
 		}

@@ -76,17 +76,29 @@ func TestSolveAssumingCore(t *testing.T) {
 	}
 }
 
+// A clause set that is unsatisfiable on its own answers Unsat with no
+// core, whether loading closed it or the search had to find out, and
+// keeps answering Unsat on later solves.
 func TestSolveAssumingRootUnsatHasNilCore(t *testing.T) {
-	f := NewFormula(2)
-	f.AddUnit(1)
-	f.AddUnit(-1)
-	inc := StartIncremental(NewCDCL(), f)
-	r := inc.SolveAssuming([]Lit{2})
-	if r.Status != Unsat {
-		t.Fatalf("want UNSAT, got %v", r.Status)
-	}
-	if len(r.Core) != 0 {
-		t.Errorf("root-level UNSAT should have empty core, got %v", r.Core)
+	loaded := NewFormula(2)
+	loaded.AddUnit(1)
+	loaded.AddUnit(-1)
+	searched := NewFormula(3)
+	searched.Add(1, 2)
+	searched.Add(1, -2)
+	searched.Add(-1, 2)
+	searched.Add(-1, -2)
+	for _, f := range []*Formula{loaded, searched, pigeonhole(4)} {
+		inc := StartIncremental(NewCDCL(), f)
+		for call, assumps := range [][]Lit{nil, {3}} {
+			r := inc.SolveAssuming(assumps)
+			if r.Status != Unsat {
+				t.Fatalf("%d clauses, call %d: want UNSAT, got %v", len(f.Clauses), call, r.Status)
+			}
+			if len(r.Core) != 0 {
+				t.Errorf("%d clauses, call %d: root-level UNSAT should have empty core, got %v", len(f.Clauses), call, r.Core)
+			}
+		}
 	}
 }
 

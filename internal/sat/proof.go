@@ -13,7 +13,7 @@ package sat
 // Three logging sites make every UNSAT path self-certifying:
 //
 //   - learned clauses (first-UIP, possibly minimized) are RUP at learn
-//     time — they are logged before they are attached or exported;
+//     time — they are logged before they are attached;
 //   - a root-level conflict logs the empty clause, the classic DRAT
 //     terminator;
 //   - an assumption failure logs the *core claim*: the clause
@@ -22,20 +22,6 @@ package sat
 //     the conflict). The claim persists in the clause DB across later
 //     solves and deletions, so a MUS extracted over many SolveAssuming
 //     calls stays checkable against the finished proof.
-//
-// Portfolio mode shares ONE Proof across all workers. Each worker
-// stages steps in a private pending buffer and flushes it under the
-// proof mutex before publishing any clause to the exchange
-// (flush-before-publish): an imported clause is therefore always
-// already in the shared log ahead of any lemma derived from it, and
-// because RUP is monotone in the clause DB, every logged lemma remains
-// RUP with respect to its log prefix even though the prefix interleaves
-// clauses the deriving worker never saw. Deletions are suppressed in
-// shared mode — worker A deleting its private copy must not delete the
-// logged clause worker B's lemmas still lean on. Cancelled losers
-// discard their pending buffers promptly at the stop-flag check; a
-// pending step is by construction unpublished, so dropping it never
-// invalidates the log.
 
 import (
 	"bufio"
@@ -54,7 +40,7 @@ const (
 	// preceding accepted lemmas, checkable by unit propagation alone.
 	ProofAdd ProofOp = 'a'
 	// ProofDelete removes a previously present clause from the checker's
-	// working set (logged by reduceDB in non-shared solves).
+	// working set (logged by reduceDB).
 	ProofDelete ProofOp = 'd'
 	// ProofInput is a clause added to an incremental session after
 	// logging started. It is trusted, not derived: the checker installs
@@ -63,15 +49,9 @@ const (
 	ProofInput ProofOp = 'i'
 )
 
-// proofStep is one staged step in a worker's pending buffer.
-type proofStep struct {
-	op   ProofOp
-	lits []Lit
-}
-
 // Proof is a compact in-memory derivation log. Steps are stored flat
-// (one byte of op plus a literal range per step) and appended under a
-// mutex so portfolio workers can share one sink. A step cap bounds
+// (one byte of op plus a literal range per step) and guarded by a
+// mutex, so a log may be read while its session runs. A step cap bounds
 // memory on runaway solves; once hit, further appends are dropped and
 // the proof is marked truncated (checkers must reject it).
 type Proof struct {
@@ -140,21 +120,6 @@ func (p *Proof) appendLocked(op ProofOp, lits []Lit) bool {
 	p.lits = append(p.lits, lits...)
 	p.ends = append(p.ends, int32(len(p.lits)))
 	return true
-}
-
-// appendSteps records a batch under one lock acquisition, preserving
-// order; it returns how many steps were accepted.
-func (p *Proof) appendSteps(steps []proofStep) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, st := range steps {
-		if !p.appendLocked(st.op, st.lits) {
-			break
-		}
-		n++
-	}
-	return n
 }
 
 // proofLine is the JSON-lines wire form of one step.
@@ -228,46 +193,12 @@ func ReadProofJSONL(r io.Reader) (*Proof, error) {
 	return p, nil
 }
 
-// proofPendingMax bounds a portfolio worker's pending buffer: past it,
-// the buffer is flushed even without a publish, so worker memory stays
-// bounded regardless of how rarely short clauses are exported.
-const proofPendingMax = 256
-
-// logStep records a step: directly into the proof in solo mode, or into
-// the worker's pending buffer in shared (portfolio) mode. lits must be
-// owned by the caller (not alias solver state that later mutates).
+// logStep records a step in the proof. lits must be owned by the caller
+// (not alias solver state that later mutates).
 func (s *cdclState) logStep(op ProofOp, lits []Lit) {
-	if s.proof == nil {
-		return
+	if s.proof != nil && s.proof.append(op, lits) {
+		s.stats.ProofSteps++
 	}
-	if !s.proofShared {
-		if s.proof.append(op, lits) {
-			s.stats.ProofSteps++
-		}
-		return
-	}
-	s.proofPending = append(s.proofPending, proofStep{op: op, lits: lits})
-	if len(s.proofPending) >= proofPendingMax {
-		s.flushProof()
-	}
-}
-
-// flushProof publishes the pending buffer to the shared proof in order.
-// It must run before any clause is published to the exchange
-// (flush-before-publish) and at the end of an uncancelled solve.
-func (s *cdclState) flushProof() {
-	if s.proof == nil || len(s.proofPending) == 0 {
-		return
-	}
-	s.stats.ProofSteps += int64(s.proof.appendSteps(s.proofPending))
-	s.proofPending = s.proofPending[:0]
-}
-
-// discardProofPending drops staged steps without publishing them. Sound
-// for cancelled portfolio losers: a pending step was never visible to
-// siblings, so nothing in the shared log can depend on it.
-func (s *cdclState) discardProofPending() {
-	s.proofPending = nil
 }
 
 // logLemma records a just-derived clause (internal literals) as a RUP
@@ -283,14 +214,9 @@ func (s *cdclState) logLemma(lits []ilit) {
 	s.logStep(ProofAdd, ext)
 }
 
-// logEmptyLemma records the empty clause — the DRAT terminator — and
-// flushes, so the finished proof certifies UNSAT immediately.
+// logEmptyLemma records the empty clause — the DRAT terminator.
 func (s *cdclState) logEmptyLemma() {
-	if s.proof == nil {
-		return
-	}
 	s.logStep(ProofAdd, nil)
-	s.flushProof()
 }
 
 // logCoreClaim records the clause ¬a1 ∨ … ∨ ¬ak over a final-conflict
@@ -305,13 +231,11 @@ func (s *cdclState) logCoreClaim(core []Lit) {
 		neg[i] = l.Neg()
 	}
 	s.logStep(ProofAdd, neg)
-	s.flushProof()
 }
 
-// logDeleteClause records a reduceDB deletion. Suppressed in shared
-// mode: the logged copy may still support another worker's lemmas.
+// logDeleteClause records a reduceDB deletion.
 func (s *cdclState) logDeleteClause(c cref) {
-	if s.proof == nil || s.proofShared {
+	if s.proof == nil {
 		return
 	}
 	lits := s.ar.lits(c)

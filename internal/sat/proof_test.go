@@ -2,9 +2,7 @@ package sat
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
-	"time"
 )
 
 // unsatFormula returns a small root-unsatisfiable formula that needs
@@ -167,63 +165,5 @@ func TestIncrementalAddClauseLogsInput(t *testing.T) {
 	}
 	if inputs != 2 {
 		t.Errorf("proof has %d input steps, want 2", inputs)
-	}
-}
-
-// TestPortfolioLoserDiscardsPending is the regression test for the
-// portfolio proof-buffer fix: cancelled losers must drop their staged
-// steps at the stop-flag check rather than holding them until the
-// goroutine exits, and no worker goroutine may outlive the solve.
-func TestPortfolioLoserDiscardsPending(t *testing.T) {
-	defer func() { testPortfolioHook = nil }()
-	var captured []*cdclState
-	testPortfolioHook = func(states []*cdclState) { captured = states }
-
-	before := runtime.NumGoroutine()
-	f := unsatFormula()
-	pr := SolvePortfolioCertified(f, 4, 0)
-	if pr.Result.Status != Unsat {
-		t.Fatalf("status = %v, want Unsat", pr.Result.Status)
-	}
-	if pr.Result.Proof == nil {
-		t.Fatalf("certified portfolio UNSAT carries no proof")
-	}
-	if len(captured) != 4 {
-		t.Fatalf("hook saw %d states, want 4", len(captured))
-	}
-	for i, s := range captured {
-		if s == nil {
-			continue
-		}
-		if s.cancelled && s.proofPending != nil {
-			t.Errorf("worker %d: cancelled but still holds %d pending proof steps", i, len(s.proofPending))
-		}
-	}
-	// All worker goroutines must be gone (allow the runtime a moment to
-	// retire them).
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-	if now := runtime.NumGoroutine(); now > before {
-		t.Errorf("goroutines leaked: %d before, %d after", before, now)
-	}
-}
-
-func TestPortfolioCertifiedSharedProofNoDeletes(t *testing.T) {
-	f := unsatFormula()
-	pr := SolvePortfolioCertified(f, 4, 0)
-	if pr.Result.Status != Unsat || pr.Result.Proof == nil {
-		t.Fatalf("want certified Unsat, got %v", pr.Result.Status)
-	}
-	p := pr.Result.Proof
-	for i := 0; i < p.Len(); i++ {
-		if op, lits := p.Step(i); op == ProofDelete {
-			t.Fatalf("shared-mode proof contains a delete step at %d: %v", i, lits)
-		}
-	}
-	if got := pr.TotalStats().ProofSteps; got != int64(p.Len()) {
-		t.Errorf("TotalStats.ProofSteps = %d, proof has %d steps", got, p.Len())
 	}
 }

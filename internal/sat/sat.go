@@ -160,9 +160,9 @@ type Result struct {
 	Core  []Lit
 	Stats Stats
 	// Proof is the derivation log backing an Unsat verdict, set when
-	// proof logging was enabled (CDCL.LogProof, Incremental.StartProof,
-	// SolvePortfolioCertified). internal/certify replays it against the
-	// original formula with an independent unit-propagator.
+	// proof logging was enabled (CDCL.LogProof, Incremental.StartProof).
+	// internal/certify replays it against the original formula with an
+	// independent unit-propagator.
 	Proof *Proof
 }
 

@@ -60,7 +60,6 @@ func writeStages(w io.Writer, t *Trace) {
 		fmt.Fprintf(w, "  %-28s %s wall\n", "config", wall(c))
 		for _, ch := range t.ChildSpans(c.ID) {
 			fmt.Fprintf(w, "    %-26s %s\n", ch.Name, wall(ch))
-			writeSolveWorkers(w, t, ch)
 		}
 	}
 	for _, d := range deps {
@@ -74,37 +73,6 @@ func writeStages(w io.Writer, t *Trace) {
 		}
 		fmt.Fprintf(w, "  %-28s %s virtual (%s)  %s wall\n",
 			"deploy", vdur(d), detail, wall(d))
-	}
-}
-
-// writeSolveWorkers renders the portfolio breakdown of a solve span,
-// if it has one: one line per racing worker from its "solve.portfolio"
-// events — the winner with its status, the losers with the effort they
-// had spent when the stop flag cancelled them.
-func writeSolveWorkers(w io.Writer, t *Trace, solve *Line) {
-	var workers []*Line
-	for _, ev := range t.SpanEvents(solve.ID) {
-		if ev.Name == "solve.portfolio" {
-			workers = append(workers, ev)
-		}
-	}
-	if len(workers) == 0 {
-		return
-	}
-	sort.Slice(workers, func(i, j int) bool {
-		return workers[i].Int("worker") < workers[j].Int("worker")
-	})
-	fmt.Fprintf(w, "      portfolio: %d workers, winner %d (%d canonicalization solves)\n",
-		solve.Int("portfolio_workers"), solve.Int("portfolio_winner"), solve.Int("canon_solves"))
-	for _, ev := range workers {
-		mark := ""
-		if b, _ := ev.Attrs["winner"].(bool); b {
-			mark = "  ← winner"
-		}
-		fmt.Fprintf(w, "        worker %-2d %-8s restarts=%d conflicts=%d shared=%d/%d%s\n",
-			ev.Int("worker"), strings.ToLower(ev.Str("status")),
-			ev.Int("restarts"), ev.Int("conflicts"),
-			ev.Int("shared_in"), ev.Int("shared_out"), mark)
 	}
 }
 

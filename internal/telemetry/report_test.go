@@ -7,55 +7,8 @@ import (
 	"time"
 )
 
-// TestReportSolveWorkerBreakdown pins the exact rendering of the
-// portfolio solve-worker breakdown in the stage summary: the portfolio
-// shape line and one line per worker — losers with the effort they had
-// spent at cancellation, the winner marked.
-func TestReportSolveWorkerBreakdown(t *testing.T) {
-	var buf bytes.Buffer
-	clock := newFakeClock()
-	tr := New(&buf, clock)
-
-	root := tr.Span("config")
-	solve := root.Child("config.solve")
-	solve.Event("solve.portfolio").
-		Int("worker", 0).Bool("winner", false).Str("status", "UNKNOWN").
-		Int("restarts", 3).Int("conflicts", 120).Int("decisions", 400).
-		Int("shared_in", 5).Int("shared_out", 2).Emit()
-	solve.Event("solve.portfolio").
-		Int("worker", 2).Bool("winner", true).Str("status", "SAT").
-		Int("restarts", 1).Int("conflicts", 80).Int("decisions", 310).
-		Int("shared_in", 0).Int("shared_out", 4).Emit()
-	solve.Int("portfolio_workers", 4).Int("portfolio_winner", 2).Int("canon_solves", 7).
-		Wall(1500 * time.Microsecond).End()
-	root.Wall(2 * time.Millisecond).End()
-	if err := tr.Err(); err != nil {
-		t.Fatalf("tracer error: %v", err)
-	}
-
-	trace, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatalf("ReadTrace: %v", err)
-	}
-	var out bytes.Buffer
-	WriteReport(&out, trace)
-
-	want := strings.Join([]string{
-		"stages:",
-		"  config                       2ms wall",
-		"    config.solve               1.5ms",
-		"      portfolio: 4 workers, winner 2 (7 canonicalization solves)",
-		"        worker 0  unknown  restarts=3 conflicts=120 shared=5/2",
-		"        worker 2  sat      restarts=1 conflicts=80 shared=0/4  ← winner",
-		"",
-	}, "\n")
-	if !strings.Contains(out.String(), want) {
-		t.Fatalf("report missing exact solve-worker breakdown.\nwant:\n%s\ngot:\n%s", want, out.String())
-	}
-}
-
-// A solve span without portfolio events renders exactly as before —
-// the breakdown is strictly additive.
+// A solve span renders as one plain stage line, with no per-worker
+// breakdown.
 func TestReportSolveNoPortfolio(t *testing.T) {
 	var buf bytes.Buffer
 	tr := New(&buf, newFakeClock())

@@ -16,8 +16,9 @@ import (
 // from this file.
 
 // solveStagePins is the first solve's effort under the pairwise
-// encoding: SolvePortfolio at width 1, which searches exactly like
-// CDCL.Solve. The clause loader is held search-identical by these.
+// encoding, as the session's total after one SolveAssuming — loading
+// included, so what CDCL.Solve reports too. The clause loader is held
+// search-identical by these.
 var solveStagePins = []struct {
 	shape                              string
 	decisions, propagations, conflicts int64
@@ -49,20 +50,19 @@ func TestSolveStageCounts(t *testing.T) {
 			order = append(order, prob.VarOf[id])
 		}
 
-		pr := sat.SolvePortfolio(prob.Formula, 1)
-		if pr.Result.Status != sat.Sat {
-			t.Fatalf("%s: first solve: %v", pin.shape, pr.Result.Status)
+		sess := sat.NewCDCL().StartIncremental(prob.Formula).(*sat.Incremental)
+		res := sess.SolveAssuming(nil)
+		if res.Status != sat.Sat {
+			t.Fatalf("%s: first solve: %v", pin.shape, res.Status)
 		}
-		first := pr.TotalStats()
+		first := sess.TotalStats()
 		if first.Decisions != pin.decisions || first.Propagations != pin.propagations || first.Conflicts != pin.conflicts {
 			t.Errorf("%s: first solve took %d decisions / %d propagations / %d conflicts, pinned %d / %d / %d",
 				pin.shape, first.Decisions, first.Propagations, first.Conflicts,
 				pin.decisions, pin.propagations, pin.conflicts)
 		}
 
-		sess := pr.Session()
-		before := sess.TotalStats()
-		_, calls, err := sat.CanonicalModel(sess, pr.Result.Model, order)
+		canon, calls, err := sat.CanonicalModel(sess, res.Model, order)
 		if err != nil {
 			t.Fatalf("%s: canonicalize: %v", pin.shape, err)
 		}
@@ -70,14 +70,32 @@ func TestSolveStageCounts(t *testing.T) {
 		if calls != 1 {
 			t.Errorf("%s: canonicalisation made %d solver calls, want 1", pin.shape, calls)
 		}
-		if c := after.Conflicts - before.Conflicts; c != 0 {
+		if c := after.Conflicts - first.Conflicts; c != 0 {
 			t.Errorf("%s: canonicalisation hit %d conflicts, want 0", pin.shape, c)
 		}
-		if d := after.Decisions - before.Decisions; d > int64(len(order)) {
+		if d := after.Decisions - first.Decisions; d > int64(len(order)) {
 			t.Errorf("%s: canonicalisation took %d decisions over %d instance variables", pin.shape, d, len(order))
 		}
 		canonPropsPerClause = append(canonPropsPerClause,
-			float64(after.Propagations-before.Propagations)/float64(len(prob.Formula.Clauses)))
+			float64(after.Propagations-first.Propagations)/float64(len(prob.Formula.Clauses)))
+
+		// The SolvePortfolio shim is this same session, whatever width it
+		// is asked for.
+		for _, n := range []int{1, 4} {
+			pr := sat.SolvePortfolio(prob.Formula, n)
+			if got := pr.TotalStats(); got != first {
+				t.Errorf("%s: SolvePortfolio(f, %d) reports %+v, the session %+v", pin.shape, n, got, first)
+			}
+			got, _, err := sat.CanonicalModel(pr.Session(), pr.Result.Model, order)
+			if err != nil {
+				t.Fatalf("%s: canonicalize SolvePortfolio(f, %d): %v", pin.shape, n, err)
+			}
+			for _, v := range order {
+				if got[v] != canon[v] {
+					t.Fatalf("%s: SolvePortfolio(f, %d) canonicalizes differently at variable %d", pin.shape, n, v)
+				}
+			}
+		}
 
 		if pin.shape == "fleet250" {
 			solver := sat.NewCDCL()

@@ -196,8 +196,8 @@ func TestParallelGenerateErrorDifferential(t *testing.T) {
 
 // TestParallelSessionDifferential: the session-keeping entry point is
 // the same pipeline as Configure at every Parallelism — same bytes —
-// and the session it keeps (at ≥ 1 the portfolio winner's, strengthened
-// by the canonicaliser's unit clauses) still proves any pinning of its
+// and the session it keeps (at ≥ 1 strengthened by the canonicaliser's
+// unit clauses) still proves any pinning of its
 // own answer and rebuilds the same bytes afterwards.
 func TestParallelSessionDifferential(t *testing.T) {
 	render := func(t *testing.T, full *spec.Full) string {
