@@ -447,60 +447,6 @@ func BenchmarkE10_Compaction(b *testing.B) {
 	b.ReportMetric(minRatio, "min-expansion-x")
 }
 
-// --- A1: CDCL vs DPLL on generated install constraints ---
-// A synthetic layered dependency graph with wide disjunctions makes the
-// solving cost visible; CDCL's learning dominates as width grows.
-
-func layeredGraph(layers, width, fanout int, seed int64) *hypergraph.Graph {
-	rng := rand.New(rand.NewSource(seed))
-	g := hypergraph.NewGraph()
-	id := func(l, w int) string { return fmt.Sprintf("n%d_%d", l, w) }
-	for l := 0; l < layers; l++ {
-		for w := 0; w < width; w++ {
-			g.AddNode(&hypergraph.Node{ID: id(l, w), FromSpec: l == 0 && w < 2})
-		}
-	}
-	for l := 0; l < layers-1; l++ {
-		for w := 0; w < width; w++ {
-			targets := make([]string, 0, fanout)
-			seen := map[int]bool{}
-			for len(targets) < fanout {
-				t := rng.Intn(width)
-				if seen[t] {
-					continue
-				}
-				seen[t] = true
-				targets = append(targets, id(l+1, t))
-			}
-			g.AddEdge(hypergraph.Hyperedge{Source: id(l, w), Targets: targets})
-		}
-	}
-	return g
-}
-
-func BenchmarkA1_SATSolvers(b *testing.B) {
-	// A scaling series over graph width, the "figure" form of the
-	// ablation: the CDCL/DPLL gap widens with the constraint width.
-	for _, width := range []int{8, 12, 16, 20} {
-		g := layeredGraph(6, width, 5, 42)
-		prob := constraint.Encode(g, constraint.Pairwise)
-		for _, solver := range []sat.Solver{sat.NewCDCL(), sat.NewDPLL()} {
-			solver := solver
-			b.Run(fmt.Sprintf("%s/width-%d", solver.Name(), width), func(b *testing.B) {
-				var res sat.Result
-				for i := 0; i < b.N; i++ {
-					res = solver.Solve(prob.Formula)
-					if res.Status != sat.Sat {
-						b.Fatalf("expected SAT, got %v", res.Status)
-					}
-				}
-				b.ReportMetric(float64(res.Stats.Decisions), "decisions")
-				b.ReportMetric(float64(res.Stats.Propagations), "propagations")
-			})
-		}
-	}
-}
-
 // BenchmarkScaling_ConfigEngine sweeps the configuration engine over
 // growing application stacks (a chain of N services, each peering with
 // the next), reporting end-to-end configure time per stack size — the
@@ -594,98 +540,6 @@ func BenchmarkA2_ExactlyOne(b *testing.B) {
 			b.ReportMetric(float64(clauses), "clauses")
 			b.Logf("A2 row: %s encoding, width %d → %d clauses", enc, width, clauses)
 		})
-	}
-}
-
-// --- Incremental enumeration: warm vs cold solver sessions ---
-// The tentpole measurement for the incremental layer: enumerate every
-// full installation specification of a constraint system once on a warm
-// incremental session (learned clauses, activity, and phases persist
-// across the blocking-clause re-solves) and once on the cold baseline
-// (each model costs a from-scratch solve of the grown formula). Both
-// paths must produce identical model sets; the warm path must do
-// measurably less propagation work.
-
-func BenchmarkIncrementalEnumeration(b *testing.B) {
-	exactlyOne := func() *hypergraph.Graph {
-		width := 48
-		g := hypergraph.NewGraph()
-		g.AddNode(&hypergraph.Node{ID: "src", FromSpec: true})
-		targets := make([]string, width)
-		for i := range targets {
-			targets[i] = fmt.Sprintf("t%d", i)
-			g.AddNode(&hypergraph.Node{ID: targets[i]})
-		}
-		g.AddEdge(hypergraph.Hyperedge{Source: "src", Targets: targets})
-		return g
-	}
-	cases := []struct {
-		name  string
-		enc   constraint.Encoding
-		build func() *hypergraph.Graph
-	}{
-		{"exactly-one-48/pairwise", constraint.Pairwise, exactlyOne},
-		{"exactly-one-48/ladder", constraint.Ladder, exactlyOne},
-		{"layered-3x6/pairwise", constraint.Pairwise, func() *hypergraph.Graph {
-			return layeredGraph(3, 6, 2, 7)
-		}},
-	}
-	modelSet := func(models [][]bool, project []int) map[string]bool {
-		set := make(map[string]bool, len(models))
-		for _, m := range models {
-			key := make([]byte, len(project))
-			for i, v := range project {
-				if m[v] {
-					key[i] = '1'
-				} else {
-					key[i] = '0'
-				}
-			}
-			set[string(key)] = true
-		}
-		return set
-	}
-	for _, tc := range cases {
-		tc := tc
-		prob := constraint.Encode(tc.build(), tc.enc)
-		// Project onto instance variables only; the ladder encoding's
-		// auxiliaries must not multiply solutions.
-		project := make([]int, 0, prob.Formula.NumVars)
-		for v := 1; v < len(prob.IDOf); v++ {
-			if prob.IDOf[v] != "" {
-				project = append(project, v)
-			}
-		}
-		var warmSet, coldSet map[string]bool
-		b.Run(tc.name+"/warm", func(b *testing.B) {
-			var st sat.Stats
-			var models [][]bool
-			for i := 0; i < b.N; i++ {
-				models, st = sat.EnumerateModelsStats(sat.NewCDCL(), prob.Formula, project, 0)
-			}
-			warmSet = modelSet(models, project)
-			b.ReportMetric(float64(len(models)), "models")
-			b.ReportMetric(float64(st.Propagations), "propagations")
-		})
-		b.Run(tc.name+"/cold", func(b *testing.B) {
-			var st sat.Stats
-			var models [][]bool
-			for i := 0; i < b.N; i++ {
-				models, st = sat.EnumerateModelsCold(sat.NewCDCL(), prob.Formula, project, 0)
-			}
-			coldSet = modelSet(models, project)
-			b.ReportMetric(float64(len(models)), "models")
-			b.ReportMetric(float64(st.Propagations), "propagations")
-		})
-		if len(warmSet) == 0 || len(coldSet) != len(warmSet) {
-			b.Fatalf("%s: warm and cold model sets differ in size: %d vs %d",
-				tc.name, len(warmSet), len(coldSet))
-		}
-		for k := range warmSet {
-			if !coldSet[k] {
-				b.Fatalf("%s: warm model %s missing from cold enumeration", tc.name, k)
-			}
-		}
 	}
 }
 

@@ -19,10 +19,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"sort"
 	"strings"
 	"syscall"
@@ -209,6 +211,34 @@ func openTrace(path string, clock telemetry.Clock) (*telemetry.Tracer, func() er
 	}, nil
 }
 
+// writeFileAtomic replaces path with what write produces, or leaves it
+// as it was: write fills a temporary file in path's directory, which is
+// fsynced and renamed over path only once every step has succeeded, so
+// a failed encode or a kill mid-write cannot truncate the only copy. On
+// failure the temporary file is removed.
+func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	if err = write(tmp); err != nil {
+		return err
+	}
+	if err = tmp.Sync(); err != nil {
+		return err
+	}
+	if err = tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
+}
+
 func loadPartial(path string) (*spec.Partial, error) {
 	if path == "" {
 		return nil, fmt.Errorf("-partial is required")
@@ -362,7 +392,6 @@ func cmdSolve(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("solve", flag.ContinueOnError)
 	rdlFiles := fs.String("rdl", "", "comma-separated RDL files (default: bundled library)")
 	partialPath := fs.String("partial", "", "partial installation specification (JSON)")
-	solverName := fs.String("solver", "cdcl", "SAT solver: cdcl or dpll")
 	encName := fs.String("encoding", "pairwise", "exactly-one encoding: pairwise or ladder")
 	minimal := fs.Bool("minimal", false, "compute a subset-minimal installation (OPIUM-style)")
 	parallel := fs.Int("parallel", 0, "≥ 1 selects the memoised resolver, N-way constraint emission and the canonical (lex-least) model; one solver search at every N (0 = the paper's uncached generator and the plain solve)")
@@ -389,14 +418,6 @@ func cmdSolve(args []string, out *os.File) error {
 	eng := config.New(reg)
 	eng.Tracer = tr
 	eng.Parallelism = *parallel
-	switch *solverName {
-	case "cdcl":
-		eng.Solver = sat.NewCDCL()
-	case "dpll":
-		eng.Solver = sat.NewDPLL()
-	default:
-		return fmt.Errorf("unknown solver %q", *solverName)
-	}
 	switch *encName {
 	case "pairwise":
 		eng.Encoding = constraint.Pairwise
@@ -743,15 +764,7 @@ func cmdStack(args []string, out *os.File) error {
 
 	printStackRecord(out, a.Stack)
 	if *statePath != "" {
-		f, err := os.Create(*statePath)
-		if err != nil {
-			return err
-		}
-		if err := a.Stack.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFileAtomic(*statePath, a.Stack.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "record written to %s (inspect with: engage stack status -state %s)\n",
@@ -1062,16 +1075,8 @@ func cmdServe(args []string, out *os.File) error {
 	}
 
 	if *statePath != "" {
-		f, err := os.Create(*statePath)
-		if err != nil {
-			return err
-		}
-		if err := srv.Store().WriteJSON(f); err != nil {
-			f.Close()
+		if err := writeFileAtomic(*statePath, srv.Store().WriteJSON); err != nil {
 			return fmt.Errorf("serve: flushing store to %s: %v", *statePath, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
 		}
 		fmt.Fprintf(out, "flushed %d stack records to %s\n", srv.Store().Len(), *statePath)
 	}

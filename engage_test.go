@@ -125,15 +125,7 @@ func TestProviders(t *testing.T) {
 	}
 }
 
-func TestSolverAndEncodingFactories(t *testing.T) {
-	for _, name := range []string{"cdcl", "dpll"} {
-		if _, err := SolverFor(name); err != nil {
-			t.Error(err)
-		}
-	}
-	if _, err := SolverFor("z3"); err == nil {
-		t.Error("unknown solver should error")
-	}
+func TestEncodingFactory(t *testing.T) {
 	for _, name := range []string{"pairwise", "ladder"} {
 		if _, err := EncodingFor(name); err != nil {
 			t.Error(err)

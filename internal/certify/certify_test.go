@@ -113,7 +113,7 @@ func TestCheckCoreCertifiesAssumptionUnsat(t *testing.T) {
 	f := sat.NewFormula(5)
 	f.Add(-1, 3)
 	f.Add(-2, -3)
-	inc := (&sat.CDCL{LogProof: true}).StartIncremental(f).(*sat.Incremental)
+	inc := (&sat.CDCL{LogProof: true}).StartIncremental(f)
 	res := inc.SolveAssuming([]sat.Lit{1, 2, 4})
 	if res.Status != sat.Unsat || res.Core == nil {
 		t.Fatalf("want assumption Unsat with core, got %v / %v", res.Status, res.Core)
@@ -137,7 +137,7 @@ func TestCheckMUSEndToEnd(t *testing.T) {
 	f.Add(s1.Neg(), x)
 	f.Add(s2.Neg(), x.Neg())
 	f.Add(s3.Neg(), y)
-	inc := (&sat.CDCL{LogProof: true}).StartIncremental(f).(*sat.Incremental)
+	inc := (&sat.CDCL{LogProof: true}).StartIncremental(f)
 	res := inc.SolveAssuming([]sat.Lit{s1, s2, s3})
 	if res.Status != sat.Unsat || res.Core == nil {
 		t.Fatalf("want assumption Unsat, got %v", res.Status)

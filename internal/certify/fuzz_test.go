@@ -169,7 +169,7 @@ func TestCheckerFuzz(t *testing.T) {
 
 		// Assumption fuzz on satisfiable-leaning instances: solve under
 		// random assumptions; an Unsat-with-core answer must check.
-		inc := (&sat.CDCL{LogProof: true}).StartIncremental(f).(*sat.Incremental)
+		inc := (&sat.CDCL{LogProof: true}).StartIncremental(f)
 		var assumps []sat.Lit
 		for v := 1; v <= f.NumVars; v++ {
 			if rng.Intn(4) == 0 {

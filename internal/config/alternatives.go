@@ -31,7 +31,7 @@ func (e *Engine) Alternatives(partial *spec.Partial, limit int) (alts []*spec.Fu
 	// plain session (the parallel first solve commits to one), and
 	// projects onto the instance variables only (the ladder encoding's
 	// auxiliaries must not multiply solutions).
-	inc := sat.Observe(sat.StartIncremental(e.solver(), prob.Formula), e.observeSolves(root))
+	inc := sat.Observe(sat.NewCDCL().StartIncremental(prob.Formula), e.observeSolves(root))
 	models, _ := sat.EnumerateModelsOn(inc, prob.Formula, instanceVars(g, prob), limit)
 	root.Int("models", int64(len(models)))
 	alts = make([]*spec.Full, 0, len(models))

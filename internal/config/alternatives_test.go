@@ -1,8 +1,10 @@
 package config
 
 import (
+	"errors"
 	"testing"
 
+	"engage/internal/resource"
 	"engage/internal/testlib"
 	"engage/internal/typecheck"
 )
@@ -138,13 +140,12 @@ func TestConfigureMinimalUnsatAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Registry: reg, Solver: unsatSolver{}}
-	if _, err := e.ConfigureMinimal(mustFig2(t)); err == nil {
-		t.Error("UNSAT should surface")
-	}
-	e2 := &Engine{Registry: reg, Solver: unknownSolver{}}
-	if _, err := e2.ConfigureMinimal(mustFig2(t)); err == nil {
-		t.Error("unknown should surface")
+	// Pinning both Java runtimes breaks Tomcat's exactly-one.
+	p := mustFig2(t)
+	p.Add("jdk", resource.MakeKey("JDK", "1.6")).In("server")
+	p.Add("jre", resource.MakeKey("JRE", "1.6")).In("server")
+	if _, err := New(reg).ConfigureMinimal(p); !errors.As(err, new(UnsatError)) {
+		t.Errorf("UNSAT should surface as an UnsatError, got %v", err)
 	}
 	if _, err := New(reg).ConfigureMinimal(testlib.MustBadPartial()); err == nil {
 		t.Error("graph error should surface")

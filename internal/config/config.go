@@ -22,15 +22,13 @@ import (
 	"engage/internal/typecheck"
 )
 
-// Engine is the configuration engine. The zero Solver/Encoding default
-// to the CDCL solver with the paper's pairwise exactly-one encoding.
-// Solvers implementing sat.IncrementalSource (CDCL does) let the
-// enumeration and minimization paths (Alternatives, ConfigureMinimal)
-// reuse warm solver state across re-solves; other solvers work through
-// the cold compatibility adapter.
+// Engine is the configuration engine. It solves with the CDCL solver on
+// one incremental session per request, which the enumeration and
+// minimization paths (Alternatives, ConfigureMinimal) reuse warm across
+// re-solves. The zero Encoding is the paper's pairwise exactly-one
+// encoding.
 type Engine struct {
 	Registry *resource.Registry
-	Solver   sat.Solver
 	Encoding constraint.Encoding
 	// Parallelism ≥ 1 selects the memoised resolver, N-way constraint
 	// emission and the canonical (lex-least) model; one solver search at
@@ -66,9 +64,9 @@ type Engine struct {
 	}
 }
 
-// New returns an engine over a registry with default solver settings.
+// New returns an engine over a registry with default settings.
 func New(reg *resource.Registry) *Engine {
-	return &Engine{Registry: reg, Solver: sat.NewCDCL()}
+	return &Engine{Registry: reg}
 }
 
 // Stats reports the work done by a Configure call.
@@ -114,12 +112,7 @@ func (e *Engine) unsatError(g *hypergraph.Graph, parent *telemetry.Span, partial
 		return UnsatError{Explanation: e.lastUnsat.expl}
 	}
 	sp := parent.Child("config.lint")
-	expl := lint.ExplainGraphUnsat(g, lint.Options{Encoding: e.Encoding, Solver: e.Solver})
-	if expl != nil && len(expl.Core) == 0 {
-		// A degenerate session (e.g. a stub solver with no real core)
-		// explains nothing; drop it rather than tell an empty story.
-		expl = nil
-	}
+	expl := lint.ExplainGraphUnsat(g, lint.Options{Encoding: e.Encoding})
 	if expl != nil {
 		sp.Int("mus", int64(len(expl.Core))).
 			Int("rawCore", int64(expl.RawCoreSize)).
@@ -183,38 +176,25 @@ func (e *Engine) front(root *telemetry.Span, partial *spec.Partial, st *Stats) (
 	return g, prob, nil
 }
 
-func (e *Engine) solver() sat.Solver {
-	if e.Solver == nil {
-		return sat.NewCDCL()
-	}
-	return e.Solver
-}
-
 // solve runs the first solve on a fresh session and returns the session
-// with the model it proved. At Parallelism ≥ 1, on a warm CDCL session,
-// that model is then canonicalized over the instance variables in graph
-// order — which leaves the session strengthened with one unit clause per
-// instance variable: still satisfiable under any pinning of the returned
-// model, but with no other model left to enumerate. The reported effort
-// is the first solve's plus what canonicalizing spent on the session.
+// with the model it proved. At Parallelism ≥ 1 that model is then
+// canonicalized over the instance variables in graph order — which
+// leaves the session strengthened with one unit clause per instance
+// variable: still satisfiable under any pinning of the returned model,
+// but with no other model left to enumerate. The reported effort is the
+// first solve's plus what canonicalizing spent on the session. The
+// session never gives up, so a solve that is not Sat is Unsat.
 func (e *Engine) solve(root *telemetry.Span, g *hypergraph.Graph, prob *constraint.Problem, partial *spec.Partial, st *Stats) (sat.IncrementalSolver, []bool, error) {
-	solver := e.solver()
-	sp := root.Child("config.solve").Str("solver", solver.Name())
+	sp := root.Child("config.solve")
 	start := time.Now()
-	inc := sat.StartIncremental(solver, prob.Formula)
+	inc := sat.NewCDCL().StartIncremental(prob.Formula)
 	res := inc.SolveAssuming(nil)
 	var err error
-	if sess, warm := inc.(*sat.Incremental); warm && e.Parallelism > 0 && res.Status == sat.Sat {
-		before := sess.TotalStats()
+	if e.Parallelism > 0 && res.Status == sat.Sat {
+		before := inc.TotalStats()
 		var solves int
-		res.Model, solves, err = sat.CanonicalModel(sess, res.Model, instanceVars(g, prob))
-		after := sess.TotalStats()
-		res.Stats.Decisions += after.Decisions - before.Decisions
-		res.Stats.Propagations += after.Propagations - before.Propagations
-		res.Stats.Conflicts += after.Conflicts - before.Conflicts
-		res.Stats.Learned += after.Learned - before.Learned
-		res.Stats.Restarts += after.Restarts - before.Restarts
-		res.Stats.ProofSteps += after.ProofSteps - before.ProofSteps
+		res.Model, solves, err = sat.CanonicalModel(inc, res.Model, instanceVars(g, prob))
+		res.Stats = res.Stats.Add(inc.TotalStats().Sub(before))
 		if err != nil {
 			err = fmt.Errorf("config: canonicalizing model: %w", err)
 		}
@@ -226,14 +206,10 @@ func (e *Engine) solve(root *telemetry.Span, g *hypergraph.Graph, prob *constrai
 	if err != nil {
 		return nil, nil, err
 	}
-	switch res.Status {
-	case sat.Sat:
-		return sat.Observe(inc, e.observeSolves(root)), res.Model, nil
-	case sat.Unsat:
+	if res.Status != sat.Sat {
 		return nil, nil, e.unsatError(g, root, partial)
-	default:
-		return nil, nil, fmt.Errorf("config: solver %q gave up", solver.Name())
 	}
+	return sat.Observe(inc, e.observeSolves(root)), res.Model, nil
 }
 
 // instanceVars lists the instance variables in graph order — the

@@ -44,7 +44,7 @@ func TestEncodeAssumableAgreesWithEncode(t *testing.T) {
 					t.Fatalf("plain encoding: %v, want %v", res.Status, tc.want)
 				}
 				ap := EncodeAssumable(tc.g, enc)
-				inc := sat.StartIncremental(sat.NewCDCL(), ap.Formula)
+				inc := sat.NewCDCL().StartIncremental(ap.Formula)
 				res := inc.SolveAssuming(ap.Selectors)
 				if res.Status != tc.want {
 					t.Fatalf("assumable encoding under all selectors: %v, want %v", res.Status, tc.want)

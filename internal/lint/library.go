@@ -15,7 +15,7 @@ import (
 // reports are deterministic: typecheck violations, dependency cycles,
 // empty frontiers, dead resources, shadowed versions, unused outputs,
 // and whole-library port mismatches.
-func libraryDiagnostics(reg *resource.Registry, opts Options, rep *Report) {
+func libraryDiagnostics(reg *resource.Registry, rep *Report) {
 	ix := newLibIndex(reg)
 
 	for _, err := range typecheck.Problems(reg) {
@@ -40,7 +40,7 @@ func libraryDiagnostics(reg *resource.Registry, opts Options, rep *Report) {
 		}
 	}
 
-	dead := ix.deadResources(opts)
+	dead := ix.deadResources()
 	for _, k := range ix.concrete {
 		if why, isDead := dead[k]; isDead {
 			rep.add(CodeDeadResource, ix.origin(k), k.String(),
@@ -172,7 +172,7 @@ func (ix *libIndex) depMembers(d resource.Dependency) []resource.Key {
 // member to coexist — probed per type with SolveAssuming on a single
 // incremental session. The returned map holds a one-line explanation
 // for each dead type.
-func (ix *libIndex) deadResources(opts Options) map[resource.Key]string {
+func (ix *libIndex) deadResources() map[resource.Key]string {
 	varOf := make(map[resource.Key]int, len(ix.concrete))
 	for i, k := range ix.concrete {
 		varOf[k] = i + 1
@@ -190,7 +190,7 @@ func (ix *libIndex) deadResources(opts Options) map[resource.Key]string {
 		}
 	}
 
-	inc := sat.StartIncremental(opts.solver(), f)
+	inc := sat.NewCDCL().StartIncremental(f)
 	dead := make(map[resource.Key]string)
 	for _, k := range ix.concrete {
 		res := inc.SolveAssuming([]sat.Lit{sat.Lit(varOf[k])})

@@ -228,26 +228,16 @@ func (r *Report) ByCode(code string) []Diagnostic {
 }
 
 // Options configures a lint run. The zero value is usable: pairwise
-// encoding, CDCL solver, no tracing, no metrics.
+// encoding, no tracing, no metrics.
 type Options struct {
 	// Encoding selects the exactly-one encoding for the spec-level SAT
 	// problems.
 	Encoding constraint.Encoding
-	// Solver solves the probe problems; nil means a fresh CDCL solver.
-	// Solvers without incremental support fall back to cold re-solves.
-	Solver sat.Solver
 	// Tracer receives a "lint" span with per-level children; nil-safe.
 	Tracer *telemetry.Tracer
 	// Metrics receives lint.errors / lint.warnings / lint.infos
 	// counters; may be nil.
 	Metrics *telemetry.Registry
-}
-
-func (o Options) solver() sat.Solver {
-	if o.Solver != nil {
-		return o.Solver
-	}
-	return sat.NewCDCL()
 }
 
 // Library lints a resource library alone.
@@ -264,7 +254,7 @@ func Check(reg *resource.Registry, partial *spec.Partial, opts Options) *Report 
 	rep := &Report{}
 
 	lib := root.Child("lint.library")
-	libraryDiagnostics(reg, opts, rep)
+	libraryDiagnostics(reg, rep)
 	lib.Int("diags", int64(len(rep.Diagnostics))).End()
 
 	if partial != nil {
@@ -296,8 +286,8 @@ func specDiagnostics(reg *resource.Registry, partial *spec.Partial, opts Options
 		return
 	}
 	ap := constraint.EncodeAssumable(g, opts.Encoding)
-	inc := sat.StartIncremental(opts.solver(), ap.Formula)
-	startProof(inc)
+	inc := sat.NewCDCL().StartIncremental(ap.Formula)
+	inc.StartProof(lintProofCap)
 	res := inc.SolveAssuming(ap.Selectors)
 	sp.Int("nodes", int64(g.Len())).Int("constraints", int64(len(ap.Selectors)))
 
@@ -307,9 +297,6 @@ func specDiagnostics(reg *resource.Registry, partial *spec.Partial, opts Options
 		rep.add(CodeSpecUnsat, "", "", "no full installation satisfies the specification: %s", expl.Summary())
 		sp.Int("mus", int64(len(expl.Core))).Int("rawCore", int64(expl.RawCoreSize))
 		return
-	}
-	if res.Status != sat.Sat {
-		return // solver gave up; nothing sound to report
 	}
 
 	cfg := root.Child("lint.config")

@@ -129,8 +129,8 @@ func ExplainUnsat(reg *resource.Registry, partial *spec.Partial, opts Options) *
 // failed Solve can attach the explanation to its error.
 func ExplainGraphUnsat(g *hypergraph.Graph, opts Options) *UnsatExplanation {
 	ap := constraint.EncodeAssumable(g, opts.Encoding)
-	inc := sat.StartIncremental(opts.solver(), ap.Formula)
-	startProof(inc)
+	inc := sat.NewCDCL().StartIncremental(ap.Formula)
+	inc.StartProof(lintProofCap)
 	res := inc.SolveAssuming(ap.Selectors)
 	if res.Status != sat.Unsat {
 		return nil
@@ -138,31 +138,16 @@ func ExplainGraphUnsat(g *hypergraph.Graph, opts Options) *UnsatExplanation {
 	return explainFromSession(g, ap, inc, res.Core)
 }
 
-// lintProofCap bounds proof logs on lint sessions. Spec problems are
+// lintProofCap bounds the proof log every lint session keeps, so every
+// unsat story arrives with a checkable certificate. Spec problems are
 // small; a capped (hence refused) certificate would mean something is
 // deeply wrong, and the cap keeps a pathological encoding from eating
 // memory.
 const lintProofCap = 1 << 20
 
-// startProof turns on proof logging when the session supports it, so
-// every unsat story lint produces arrives with a checkable certificate.
-func startProof(inc sat.IncrementalSolver) {
-	if pl, ok := inc.(sat.ProofLogger); ok {
-		pl.StartProof(lintProofCap)
-	}
-}
-
-// sessionProof extracts the finished proof, nil when logging was off.
-func sessionProof(inc sat.IncrementalSolver) *sat.Proof {
-	if pl, ok := inc.(sat.ProofLogger); ok {
-		return pl.Proof()
-	}
-	return nil
-}
-
 // explainFromSession shrinks an assumption core on a live incremental
 // session and translates the surviving selectors into CoreConstraints.
-func explainFromSession(g *hypergraph.Graph, ap *constraint.AssumableProblem, inc sat.IncrementalSolver, core []sat.Lit) *UnsatExplanation {
+func explainFromSession(g *hypergraph.Graph, ap *constraint.AssumableProblem, inc *sat.Incremental, core []sat.Lit) *UnsatExplanation {
 	mus, wit, st := sat.ShrinkCoreWitnessed(inc, core)
 	// Selector variables are allocated in group-creation order; sorting
 	// by variable restores spec-then-edge order for the story.
@@ -173,17 +158,14 @@ func explainFromSession(g *hypergraph.Graph, ap *constraint.AssumableProblem, in
 		RawCoreSize: len(core),
 		Solves:      st.Solves + 1,
 	}
-	if p := sessionProof(inc); p != nil {
-		cert := &UnsatCertificate{
-			Formula:   ap.Formula,
-			Proof:     p,
-			MUS:       append([]sat.Lit(nil), mus...),
-			Witnesses: make([][]bool, len(mus)),
-		}
-		for i, m := range mus {
-			cert.Witnesses[i] = wit[m]
-		}
-		e.Cert = cert
+	e.Cert = &UnsatCertificate{
+		Formula:   ap.Formula,
+		Proof:     inc.Proof(),
+		MUS:       append([]sat.Lit(nil), mus...),
+		Witnesses: make([][]bool, len(mus)),
+	}
+	for i, m := range mus {
+		e.Cert.Witnesses[i] = wit[m]
 	}
 	for _, l := range mus {
 		gr, ok := ap.GroupFor(l)
@@ -223,7 +205,7 @@ func translateGroup(g *hypergraph.Graph, gr constraint.Group) CoreConstraint {
 // feasible target is a forced choice; a mix of feasible and infeasible
 // targets is a near-conflict. All probes share the warm session the
 // satisfiability check already paid for.
-func configDiagnostics(g *hypergraph.Graph, ap *constraint.AssumableProblem, inc sat.IncrementalSolver, rep *Report) {
+func configDiagnostics(g *hypergraph.Graph, ap *constraint.AssumableProblem, inc *sat.Incremental, rep *Report) {
 	assumps := make([]sat.Lit, 0, len(ap.Selectors)+2)
 	for _, e := range g.Edges {
 		if len(e.Targets) < 2 {

@@ -94,7 +94,7 @@ func randomOrder(rng *rand.Rand, nVars, min int) []int {
 // solvedSession opens a session on f and solves it once, as the
 // configuration engine does before it canonicalises.
 func solvedSession(f *Formula) (*Incremental, Result) {
-	in := NewCDCL().StartIncremental(f).(*Incremental)
+	in := NewCDCL().StartIncremental(f)
 	return in, in.SolveAssuming(nil)
 }
 
@@ -115,9 +115,11 @@ func TestCanonicalModelIsLexMin(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		dpll := (&DPLL{Order: fullOrder(f)}).Solve(f)
 		for v := 1; v <= nVars; v++ {
-			if got[v] != want[v] {
-				t.Fatalf("trial %d: canonical model differs from lex-min at var %d", trial, v)
+			if got[v] != want[v] || dpll.Model[v] != want[v] {
+				t.Fatalf("trial %d, var %d: canonical model %v, ordered DPLL %v, lex-min %v",
+					trial, v, got[v], dpll.Model[v], want[v])
 			}
 		}
 	}
@@ -151,12 +153,13 @@ func TestCanonicalOrderedSearchMatchesWalk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("instance %d: walk: %v", found, err)
 		}
+
 		before := in.TotalStats()
 		got, n, err := CanonicalModel(in, res.Model, order)
 		if err != nil {
 			t.Fatalf("instance %d: %v", found, err)
 		}
-		spent := statsDelta(in.TotalStats(), before)
+		spent := in.TotalStats().Sub(before)
 		inside.Conflicts += spent.Conflicts
 		inside.Restarts += spent.Restarts
 		if n != 1 {
@@ -217,7 +220,7 @@ func TestCanonicalModelErrors(t *testing.T) {
 		{"unsatisfiable session", searched, []int{1, 2}, "session is UNSAT", 1},
 		{"closed session", closed, []int{1}, "session is UNSAT", 1},
 	} {
-		in := NewCDCL().StartIncremental(tc.f).(*Incremental)
+		in := NewCDCL().StartIncremental(tc.f)
 		canon, n, err := CanonicalModel(in, nil, tc.order)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.want)
@@ -232,7 +235,7 @@ func TestCanonicalModelErrors(t *testing.T) {
 func TestCanonicalModelGrowsSession(t *testing.T) {
 	f := NewFormula(2)
 	f.Add(1, 2)
-	in := NewCDCL().StartIncremental(f).(*Incremental)
+	in := NewCDCL().StartIncremental(f)
 	canon, _, err := CanonicalModel(in, nil, []int{5, 2, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -272,15 +275,17 @@ func TestCanonicalModelDuplicateKeepsFirstRank(t *testing.T) {
 		if want == nil {
 			continue
 		}
-		in := NewCDCL().StartIncremental(f).(*Incremental)
+		in := NewCDCL().StartIncremental(f)
 		got, _, err := CanonicalModel(in, nil, dup)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		conflicts += in.TotalStats().Conflicts
+		dpll := (&DPLL{Order: dup}).Solve(f)
 		for _, v := range order {
-			if got[v] != want[v] {
-				t.Fatalf("trial %d: order %v: differs from lex-min at var %d", trial, dup, v)
+			if got[v] != want[v] || dpll.Model[v] != want[v] {
+				t.Fatalf("trial %d: order %v, var %d: canonical model %v, ordered DPLL %v, lex-min %v",
+					trial, dup, v, got[v], dpll.Model[v], want[v])
 			}
 		}
 	}
@@ -338,9 +343,9 @@ func TestCanonicalSessionStaysUsable(t *testing.T) {
 	}
 }
 
-// FuzzCanonicalModel cross-checks CanonicalModel's ordered search three
+// FuzzCanonicalModel cross-checks CanonicalModel's ordered search four
 // ways on formulas small enough to enumerate: against the per-variable
-// walk it replaced and against brute force, all three must name the
+// walk it replaced, ordered DPLL and brute force, all four must name the
 // same lex-least assignment of the ordered variables. The order is a
 // random subset of the variables in random order; the rest stand in for
 // ladder auxiliaries, which the search may decide any way it likes.
@@ -355,7 +360,7 @@ func FuzzCanonicalModel(f *testing.F) {
 		order := randomOrder(rand.New(rand.NewSource(orderSeed)), nVars, 0)
 
 		want := bruteLexMin(formula, order)
-		in := NewCDCL().StartIncremental(formula).(*Incremental)
+		in := NewCDCL().StartIncremental(formula)
 		res := in.SolveAssuming(nil)
 		if (res.Status == Sat) != (want != nil) {
 			t.Fatalf("solver says %v, brute force found model=%v\n%s", res.Status, want != nil, Dimacs(formula))
@@ -381,10 +386,11 @@ func FuzzCanonicalModel(f *testing.F) {
 		if err != nil {
 			t.Fatalf("walk: %v\n%s", err, Dimacs(formula))
 		}
+		dpll := (&DPLL{Order: order}).Solve(formula)
 		for _, v := range order {
-			if got[v] != want[v] || walked[v] != want[v] {
-				t.Fatalf("order %v, var %d: ordered search %v, walk %v, brute force %v\n%s",
-					order, v, got[v], walked[v], want[v], Dimacs(formula))
+			if got[v] != want[v] || walked[v] != want[v] || dpll.Model[v] != want[v] {
+				t.Fatalf("order %v, var %d: ordered search %v, walk %v, ordered DPLL %v, brute force %v\n%s",
+					order, v, got[v], walked[v], dpll.Model[v], want[v], Dimacs(formula))
 			}
 		}
 	})

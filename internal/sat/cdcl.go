@@ -10,9 +10,9 @@ import (
 // binary-clause watch lists, a flat clause arena instead of per-clause
 // heap objects, VSIDS variable activity with phase saving, first-UIP
 // conflict analysis, Luby-sequence restarts, and activity-based
-// learned-clause deletion. It also implements IncrementalSource:
-// StartIncremental opens a session whose learned clauses, activity,
-// and saved phases persist across SolveAssuming calls.
+// learned-clause deletion. StartIncremental opens a session whose
+// learned clauses, activity, and saved phases persist across
+// SolveAssuming calls.
 //
 // With LogProof set, every solve (and every incremental session opened
 // by StartIncremental) records a DRAT-style derivation log; UNSAT
@@ -27,9 +27,6 @@ type CDCL struct {
 
 // NewCDCL returns a CDCL solver.
 func NewCDCL() *CDCL { return &CDCL{} }
-
-// Name implements Solver.
-func (*CDCL) Name() string { return "cdcl" }
 
 // Internal literal encoding: lit = 2*v for +v, 2*v+1 for ¬v, with v in
 // [0, nVars).
@@ -119,7 +116,7 @@ type cdclState struct {
 	proof *Proof // derivation log (see proof.go); nil when logging is off
 }
 
-// Solve implements Solver.
+// Solve solves f once, on a fresh state.
 func (c *CDCL) Solve(f *Formula) Result {
 	s := newState(f.NumVars)
 	if c.LogProof {

@@ -2,39 +2,51 @@ package sat
 
 // DPLL is a plain Davis–Putnam–Logemann–Loveland solver: recursive
 // backtracking with unit propagation and pure-literal elimination, no
-// learning, no watched literals. It exists as the ablation baseline
-// (bench A1) contrasting with the CDCL engine the configuration engine
-// uses, mirroring the paper's choice of a modern SAT solver (MiniSat).
+// learning, no watched literals. It is the textbook algorithm written
+// for clarity and kept only as a reference oracle for the CDCL engine:
+// the same verdicts (FuzzCDCLvsDPLL), more search (the A1 ablation), and,
+// given an Order, the same canonical model. Its Stats.Propagations counts
+// clauses scanned by unit propagation, as CDCL's counts watched clauses
+// visited.
 type DPLL struct {
 	// MaxDecisions bounds the search (0 = unbounded); if exceeded the
-	// result status is Unknown. Benchmarks use this to keep pathological
-	// cases bounded.
+	// result status is Unknown.
 	MaxDecisions int64
+	// Order, when set, is decided first: always its first unassigned
+	// variable, false before true, and only then the rest. The
+	// pure-literal rule leaves Order's variables alone, because it could
+	// set one true ahead of its turn. The first model found is then the
+	// lexicographically least on Order (false < true, Order[0] most
+	// significant), which is what CanonicalModel promises.
+	Order []int
 }
-
-// NewDPLL returns a DPLL solver.
-func NewDPLL() *DPLL { return &DPLL{} }
-
-// Name implements Solver.
-func (*DPLL) Name() string { return "dpll" }
 
 type dpllState struct {
 	nVars   int
 	clauses []Clause
 	assign  []int8 // by var, 1-based
 	trail   []int
+	order   []int
+	ordered []bool // by var: listed in order
 	stats   Stats
 	maxDec  int64
 	aborted bool
 }
 
-// Solve implements Solver.
+// Solve solves f by DPLL search.
 func (d *DPLL) Solve(f *Formula) Result {
 	s := &dpllState{
 		nVars:   f.NumVars,
 		clauses: f.Clauses,
 		assign:  make([]int8, f.NumVars+1),
+		ordered: make([]bool, f.NumVars+1),
 		maxDec:  d.MaxDecisions,
+	}
+	for _, v := range d.Order {
+		if v >= 1 && v <= f.NumVars {
+			s.order = append(s.order, v)
+			s.ordered[v] = true
+		}
 	}
 	sat := s.solve()
 	if s.aborted {
@@ -85,6 +97,7 @@ func (s *dpllState) propagate() bool {
 		changed := false
 		// Unit propagation.
 		for _, c := range s.clauses {
+			s.stats.Propagations++
 			var unit Lit
 			unsat := true
 			nUnassigned := 0
@@ -108,7 +121,6 @@ func (s *dpllState) propagate() bool {
 				return false // falsified clause
 			}
 			if nUnassigned == 1 {
-				s.stats.Propagations++
 				s.set(unit)
 				changed = true
 			}
@@ -116,7 +128,7 @@ func (s *dpllState) propagate() bool {
 		if changed {
 			continue
 		}
-		// Pure-literal elimination.
+		// Pure-literal elimination, on the variables outside the order.
 		polarity := make(map[int]int8, s.nVars)
 		for _, c := range s.clauses {
 			satisfied := false
@@ -130,7 +142,7 @@ func (s *dpllState) propagate() bool {
 				continue
 			}
 			for _, l := range c {
-				if s.litVal(l) != valUnassigned {
+				if s.litVal(l) != valUnassigned || s.ordered[l.Var()] {
 					continue
 				}
 				v := l.Var()
@@ -161,15 +173,16 @@ func (s *dpllState) propagate() bool {
 	}
 }
 
-func (s *dpllState) solve() bool {
-	mark := len(s.trail)
-	if !s.propagate() {
-		s.undoTo(mark)
-		return false
+// branchLit picks the next decision: the first unassigned ordered
+// variable, false; otherwise the first unassigned variable appearing in
+// an unsatisfied clause, true. 0 means every clause is satisfied and no
+// ordered variable is left.
+func (s *dpllState) branchLit() Lit {
+	for _, v := range s.order {
+		if s.assign[v] == valUnassigned {
+			return Lit(-v)
+		}
 	}
-	// Pick the first unassigned variable appearing in an unsatisfied
-	// clause.
-	branch := 0
 	for _, c := range s.clauses {
 		satisfied := false
 		candidate := 0
@@ -187,12 +200,21 @@ func (s *dpllState) solve() bool {
 			}
 		}
 		if !satisfied && candidate != 0 {
-			branch = candidate
-			break
+			return Lit(candidate)
 		}
 	}
-	if branch == 0 {
-		return true // every clause satisfied
+	return 0
+}
+
+func (s *dpllState) solve() bool {
+	mark := len(s.trail)
+	if !s.propagate() {
+		s.undoTo(mark)
+		return false
+	}
+	first := s.branchLit()
+	if first == 0 {
+		return true
 	}
 	if s.maxDec > 0 && s.stats.Decisions >= s.maxDec {
 		s.aborted = true
@@ -201,7 +223,7 @@ func (s *dpllState) solve() bool {
 	}
 	s.stats.Decisions++
 	inner := len(s.trail)
-	s.set(Lit(branch))
+	s.set(first)
 	if s.solve() {
 		return true
 	}
@@ -210,7 +232,7 @@ func (s *dpllState) solve() bool {
 		return false
 	}
 	s.undoTo(inner)
-	s.set(Lit(-branch))
+	s.set(first.Neg())
 	if s.solve() {
 		return true
 	}

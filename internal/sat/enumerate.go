@@ -7,37 +7,29 @@ package sat
 // Auxiliary variables (e.g., from the ladder encoding) are typically
 // excluded via the projection.
 //
-// Enumeration runs on an incremental session (StartIncremental): with
-// a warm-capable solver such as CDCL, each blocking clause is a single
-// AddClause and the re-solve keeps all learned clauses, variable
+// Enumeration runs on one warm CDCL session: each blocking clause is a
+// single AddClause and the re-solve keeps all learned clauses, variable
 // activity, and saved phases — the growing formula is never re-solved
-// from a cold start. One-shot solvers (DPLL) fall back to the cold
-// adapter transparently. The input formula is never mutated.
+// from a cold start. The input formula is never mutated.
 //
 // limit ≤ 0 means "no limit"; enumeration is then bounded only by the
 // projected model count, which can be exponential — callers should
 // project and bound accordingly.
-func EnumerateModels(s Solver, f *Formula, project []int, limit int) [][]bool {
-	models, _ := EnumerateModelsStats(s, f, project, limit)
+func EnumerateModels(f *Formula, project []int, limit int) [][]bool {
+	models, _ := EnumerateModelsStats(f, project, limit)
 	return models
 }
 
 // EnumerateModelsStats is EnumerateModels plus the total solver effort
 // summed over every solve of the enumeration.
-func EnumerateModelsStats(s Solver, f *Formula, project []int, limit int) ([][]bool, Stats) {
-	return enumerate(StartIncremental(s, f), f, project, limit)
+func EnumerateModelsStats(f *Formula, project []int, limit int) ([][]bool, Stats) {
+	return EnumerateModelsOn(NewCDCL().StartIncremental(f), f, project, limit)
 }
 
-// EnumerateModelsCold enumerates with the cold-start strategy — every
-// model re-solves the grown formula from scratch — regardless of the
-// solver's incremental support. It exists as the measured ablation
-// baseline for the incremental path (BenchmarkIncrementalEnumeration);
-// the model set is identical to EnumerateModels on exhaustive runs.
-func EnumerateModelsCold(s Solver, f *Formula, project []int, limit int) ([][]bool, Stats) {
-	return enumerate(newColdIncremental(s, f), f, project, limit)
-}
-
-func enumerate(inc IncrementalSolver, f *Formula, project []int, limit int) ([][]bool, Stats) {
+// EnumerateModelsOn is EnumerateModelsStats running on a caller-provided
+// incremental session — typically one wrapped with Observe, so each
+// enumeration re-solve is visible to the caller.
+func EnumerateModelsOn(inc IncrementalSolver, f *Formula, project []int, limit int) ([][]bool, Stats) {
 	if project == nil {
 		project = make([]int, f.NumVars)
 		for v := 1; v <= f.NumVars; v++ {
@@ -48,7 +40,7 @@ func enumerate(inc IncrementalSolver, f *Formula, project []int, limit int) ([][
 	var total Stats
 	for limit <= 0 || len(models) < limit {
 		res := inc.SolveAssuming(nil)
-		total = addStats(total, res.Stats)
+		total = total.Add(res.Stats)
 		if res.Status != Sat {
 			break
 		}
@@ -77,18 +69,8 @@ func enumerate(inc IncrementalSolver, f *Formula, project []int, limit int) ([][
 	return models, total
 }
 
-func addStats(a, b Stats) Stats {
-	return Stats{
-		Decisions:    a.Decisions + b.Decisions,
-		Propagations: a.Propagations + b.Propagations,
-		Conflicts:    a.Conflicts + b.Conflicts,
-		Learned:      a.Learned + b.Learned,
-		Restarts:     a.Restarts + b.Restarts,
-	}
-}
-
 // CountModels counts satisfying assignments distinct on the projection,
 // up to max (0 = unbounded).
-func CountModels(s Solver, f *Formula, project []int, max int) int {
-	return len(EnumerateModels(s, f, project, max))
+func CountModels(f *Formula, project []int, max int) int {
+	return len(EnumerateModels(f, project, max))
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzCDCLvsDPLL cross-checks the CDCL engine against the DPLL
-// baseline on small random formulas: identical SAT/UNSAT verdicts, and
+// oracle on small random formulas: identical SAT/UNSAT verdicts, and
 // every reported model must verify. The fuzzer drives the generator
 // parameters (seed, size, density) rather than raw clause bytes so
 // every input is a well-formed CNF and the search space stays dense in
@@ -56,9 +56,9 @@ func FuzzIncrementalEnumeration(f *testing.F) {
 		for v := 1; v <= nVars; v++ {
 			project[v-1] = v
 		}
-		warm, _ := EnumerateModelsStats(NewCDCL(), formula, project, 0)
-		cold, _ := EnumerateModelsCold(NewCDCL(), formula, project, 0)
-		wk, ck := modelKeys(warm, project), modelKeys(cold, project)
+		warm, _ := EnumerateModelsStats(formula, project, 0)
+		cold, _ := EnumerateModelsOn(NewColdSession(NewCDCL().Solve, formula), formula, project, 0)
+		wk, ck := ModelKeys(warm, project), ModelKeys(cold, project)
 		if len(wk) != len(ck) {
 			t.Fatalf("warm=%d cold=%d models\n%s", len(wk), len(ck), Dimacs(formula))
 		}

@@ -10,9 +10,10 @@ package sat
 // re-solve pay only for what changed instead of re-propagating the
 // whole formula and re-learning every conflict from a cold start.
 
-// IncrementalSolver is an incremental SAT session. Clauses may only be
-// added, never removed, so everything learned remains valid across
-// calls.
+// IncrementalSolver is the seam Observe wraps for telemetry: the two
+// calls of an incremental session, so a wrapper can see every re-solve.
+// *Incremental is the one implementation. Clauses may only be added,
+// never removed, so everything learned remains valid across calls.
 type IncrementalSolver interface {
 	// AddClause installs a clause into the session. It returns false
 	// if the clause set has become trivially unsatisfiable (further
@@ -27,28 +28,9 @@ type IncrementalSolver interface {
 	SolveAssuming(assumps []Lit) Result
 }
 
-// IncrementalSource is implemented by solvers that can open warm
-// incremental sessions (*CDCL does). Solvers without native support
-// still work through StartIncremental's cold fallback adapter.
-type IncrementalSource interface {
-	StartIncremental(f *Formula) IncrementalSolver
-}
-
-// StartIncremental opens an incremental session seeded with f. If the
-// solver implements IncrementalSource the session is warm; otherwise a
-// compatibility adapter re-solves the grown formula from scratch on
-// every call, preserving one-shot semantics for solvers like DPLL. The
-// input formula is never mutated.
-func StartIncremental(s Solver, f *Formula) IncrementalSolver {
-	if src, ok := s.(IncrementalSource); ok {
-		return src.StartIncremental(f)
-	}
-	return newColdIncremental(s, f)
-}
-
-// StartIncremental implements IncrementalSource: it returns a warm
-// CDCL session seeded with f's clauses.
-func (c *CDCL) StartIncremental(f *Formula) IncrementalSolver {
+// StartIncremental returns a warm session seeded with f's clauses. f is
+// never mutated.
+func (c *CDCL) StartIncremental(f *Formula) *Incremental {
 	in := NewIncremental(f.NumVars)
 	in.s.load(f)
 	if c.LogProof {
@@ -57,15 +39,6 @@ func (c *CDCL) StartIncremental(f *Formula) IncrementalSolver {
 		in.StartProof(c.ProofCap)
 	}
 	return in
-}
-
-// ProofLogger is implemented by incremental sessions that can record a
-// checkable derivation log (*Incremental does; the cold adapter does
-// not). Callers that want certified UNSAT answers assert against it and
-// degrade gracefully when the session cannot log.
-type ProofLogger interface {
-	StartProof(capSteps int) *Proof
-	Proof() *Proof
 }
 
 // Incremental is the CDCL-backed warm session. The zero value is not
@@ -141,66 +114,9 @@ func (in *Incremental) SolveAssuming(assumps []Lit) Result {
 		res = s.search()
 		s.assumptions = s.assumptions[:0]
 	}
-	res.Stats = statsDelta(s.stats, base)
+	res.Stats = s.stats.Sub(base)
 	return res
 }
 
 // TotalStats reports the cumulative effort of the whole session.
 func (in *Incremental) TotalStats() Stats { return in.s.stats }
-
-func statsDelta(now, base Stats) Stats {
-	return Stats{
-		Decisions:    now.Decisions - base.Decisions,
-		Propagations: now.Propagations - base.Propagations,
-		Conflicts:    now.Conflicts - base.Conflicts,
-		Learned:      now.Learned - base.Learned,
-		Restarts:     now.Restarts - base.Restarts,
-		ProofSteps:   now.ProofSteps - base.ProofSteps,
-	}
-}
-
-// coldIncremental adapts any one-shot Solver to the incremental
-// interface by re-solving the accumulated formula from scratch on
-// every call. It exists for compatibility (DPLL, test stubs) and as
-// the measured baseline in BenchmarkIncrementalEnumeration.
-type coldIncremental struct {
-	s Solver
-	f *Formula // private copy; grows with AddClause
-}
-
-func newColdIncremental(s Solver, f *Formula) *coldIncremental {
-	return &coldIncremental{
-		s: s,
-		f: &Formula{NumVars: f.NumVars, Clauses: append([]Clause(nil), f.Clauses...)},
-	}
-}
-
-func (c *coldIncremental) AddClause(cl Clause) bool {
-	for _, l := range cl {
-		if l.Var() > c.f.NumVars {
-			c.f.NumVars = l.Var()
-		}
-	}
-	c.f.Clauses = append(c.f.Clauses, append(Clause(nil), cl...))
-	return true
-}
-
-func (c *coldIncremental) SolveAssuming(assumps []Lit) Result {
-	work := c.f
-	if len(assumps) > 0 {
-		work = &Formula{NumVars: c.f.NumVars, Clauses: append([]Clause(nil), c.f.Clauses...)}
-		for _, a := range assumps {
-			if a.Var() > work.NumVars {
-				work.NumVars = a.Var()
-			}
-			work.Clauses = append(work.Clauses, Clause{a})
-		}
-	}
-	res := c.s.Solve(work)
-	if res.Status == Unsat && len(assumps) > 0 {
-		// A one-shot solver cannot attribute the conflict, so the core
-		// is the whole assumption set — a sound over-approximation.
-		res.Core = append([]Lit(nil), assumps...)
-	}
-	return res
-}

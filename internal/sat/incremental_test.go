@@ -62,7 +62,7 @@ func TestSolveAssumingCore(t *testing.T) {
 	f := NewFormula(4)
 	f.AddImplies(1, 2)
 	f.AddImplies(2, 3)
-	inc := StartIncremental(NewCDCL(), f)
+	inc := NewCDCL().StartIncremental(f)
 	assumps := []Lit{1, -3, 4}
 	r := inc.SolveAssuming(assumps)
 	if r.Status != Unsat {
@@ -89,7 +89,7 @@ func TestSolveAssumingRootUnsatHasNilCore(t *testing.T) {
 	searched.Add(-1, 2)
 	searched.Add(-1, -2)
 	for _, f := range []*Formula{loaded, searched, pigeonhole(4)} {
-		inc := StartIncremental(NewCDCL(), f)
+		inc := NewCDCL().StartIncremental(f)
 		for call, assumps := range [][]Lit{nil, {3}} {
 			r := inc.SolveAssuming(assumps)
 			if r.Status != Unsat {
@@ -104,7 +104,7 @@ func TestSolveAssumingRootUnsatHasNilCore(t *testing.T) {
 
 func TestSolveAssumingContradictoryAssumptions(t *testing.T) {
 	f := NewFormula(1)
-	inc := StartIncremental(NewCDCL(), f)
+	inc := NewCDCL().StartIncremental(f)
 	assumps := []Lit{1, -1}
 	r := inc.SolveAssuming(assumps)
 	if r.Status != Unsat {
@@ -116,7 +116,7 @@ func TestSolveAssumingContradictoryAssumptions(t *testing.T) {
 func TestSolveAssumingFalsifiedAtLevelZero(t *testing.T) {
 	f := NewFormula(2)
 	f.AddUnit(-1)
-	inc := StartIncremental(NewCDCL(), f)
+	inc := NewCDCL().StartIncremental(f)
 	r := inc.SolveAssuming([]Lit{1})
 	if r.Status != Unsat {
 		t.Fatalf("want UNSAT, got %v", r.Status)
@@ -168,9 +168,9 @@ func TestIncrementalNewVariablesGrowSession(t *testing.T) {
 	}
 }
 
-// modelKeys projects models onto the given variables and returns a
+// ModelKeys projects models onto the given variables and returns a
 // sorted, canonical representation for set comparison.
-func modelKeys(models [][]bool, project []int) []string {
+func ModelKeys(models [][]bool, project []int) []string {
 	keys := make([]string, 0, len(models))
 	for _, m := range models {
 		var b strings.Builder
@@ -183,6 +183,49 @@ func modelKeys(models [][]bool, project []int) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// ColdSession is the incremental interface done the slow way, kept as
+// the baseline the warm session is measured against: every
+// SolveAssuming hands the grown formula, with the assumptions as unit
+// clauses, to a fresh one-shot solve. A one-shot solve cannot attribute
+// a conflict, so Unsat under assumptions reports all of them as the
+// core, a sound over-approximation.
+type ColdSession struct {
+	solve func(*Formula) Result
+	f     *Formula // private copy; grows with AddClause
+}
+
+// NewColdSession returns a cold session over a copy of f that solves
+// with solve, e.g. NewCDCL().Solve or (&DPLL{}).Solve.
+func NewColdSession(solve func(*Formula) Result, f *Formula) *ColdSession {
+	return &ColdSession{
+		solve: solve,
+		f:     &Formula{NumVars: f.NumVars, Clauses: append([]Clause(nil), f.Clauses...)},
+	}
+}
+
+// AddClause implements IncrementalSolver.
+func (c *ColdSession) AddClause(cl Clause) bool {
+	for _, l := range cl {
+		c.f.NumVars = max(c.f.NumVars, l.Var())
+	}
+	c.f.Clauses = append(c.f.Clauses, append(Clause(nil), cl...))
+	return true
+}
+
+// SolveAssuming implements IncrementalSolver.
+func (c *ColdSession) SolveAssuming(assumps []Lit) Result {
+	work := &Formula{NumVars: c.f.NumVars, Clauses: append([]Clause(nil), c.f.Clauses...)}
+	for _, a := range assumps {
+		work.NumVars = max(work.NumVars, a.Var())
+		work.Clauses = append(work.Clauses, Clause{a})
+	}
+	res := c.solve(work)
+	if res.Status == Unsat && len(assumps) > 0 {
+		res.Core = append([]Lit(nil), assumps...)
+	}
+	return res
 }
 
 // TestIncrementalVsOneShotEnumeration: the warm incremental path and
@@ -198,9 +241,9 @@ func TestIncrementalVsOneShotEnumeration(t *testing.T) {
 		for v := 1; v <= nVars; v++ {
 			project[v-1] = v
 		}
-		warm, _ := EnumerateModelsStats(NewCDCL(), f, project, 0)
-		cold, _ := EnumerateModelsCold(NewCDCL(), f, project, 0)
-		wk, ck := modelKeys(warm, project), modelKeys(cold, project)
+		warm, _ := EnumerateModelsStats(f, project, 0)
+		cold, _ := EnumerateModelsOn(NewColdSession(NewCDCL().Solve, f), f, project, 0)
+		wk, ck := ModelKeys(warm, project), ModelKeys(cold, project)
 		if len(wk) != len(ck) {
 			t.Fatalf("trial %d: warm found %d models, cold %d\n%s",
 				trial, len(wk), len(ck), Dimacs(f))
@@ -230,8 +273,8 @@ func TestWarmEnumerationDoesLessWork(t *testing.T) {
 		lits[i] = Lit(i + 1)
 	}
 	f.AddExactlyOne(lits...)
-	warm, warmStats := EnumerateModelsStats(NewCDCL(), f, nil, 0)
-	cold, coldStats := EnumerateModelsCold(NewCDCL(), f, nil, 0)
+	warm, warmStats := EnumerateModelsStats(f, nil, 0)
+	cold, coldStats := EnumerateModelsOn(NewColdSession(NewCDCL().Solve, f), f, nil, 0)
 	if len(warm) != 32 || len(cold) != 32 {
 		t.Fatalf("⊕ over 32 vars has 32 models: warm=%d cold=%d", len(warm), len(cold))
 	}
@@ -241,25 +284,6 @@ func TestWarmEnumerationDoesLessWork(t *testing.T) {
 	}
 }
 
-func TestColdAdapterForDPLL(t *testing.T) {
-	f := NewFormula(2)
-	f.AddExactlyOne(1, 2)
-	inc := StartIncremental(NewDPLL(), f)
-	if _, warm := inc.(*Incremental); warm {
-		t.Fatal("DPLL must get the cold adapter, not a warm session")
-	}
-	r := inc.SolveAssuming(nil)
-	if r.Status != Sat {
-		t.Fatalf("want SAT, got %v", r.Status)
-	}
-	assumps := []Lit{1, 2}
-	r = inc.SolveAssuming(assumps)
-	if r.Status != Unsat {
-		t.Fatalf("both of an exactly-one: want UNSAT, got %v", r.Status)
-	}
-	coreIsSound(t, f, assumps, r.Core)
-}
-
 func TestIncrementalSolverAgreesWithOneShot(t *testing.T) {
 	// Repeated SolveAssuming over random assumption sets must agree
 	// with one-shot solving of formula+assumptions, on one session.
@@ -267,7 +291,7 @@ func TestIncrementalSolverAgreesWithOneShot(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		nVars := 8 + rng.Intn(8)
 		f := randomFormula(rng, nVars, int(float64(nVars)*3.5))
-		inc := StartIncremental(NewCDCL(), f)
+		inc := NewCDCL().StartIncremental(f)
 		for probe := 0; probe < 8; probe++ {
 			var assumps []Lit
 			for v := 1; v <= nVars; v++ {
@@ -301,8 +325,7 @@ func TestIncrementalSolverAgreesWithOneShot(t *testing.T) {
 
 func TestIncrementalTotalStatsAccumulate(t *testing.T) {
 	f := pigeonhole(4)
-	src := NewCDCL().StartIncremental(f)
-	inc := src.(*Incremental)
+	inc := NewCDCL().StartIncremental(f)
 	r1 := inc.SolveAssuming(nil)
 	if r1.Status != Unsat {
 		t.Fatalf("PHP(4) is UNSAT, got %v", r1.Status)

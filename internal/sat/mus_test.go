@@ -49,7 +49,7 @@ func TestShrinkCoreMinimal(t *testing.T) {
 			inc = NewCDCL().StartIncremental(f)
 		} else {
 			name = "cold"
-			inc = newColdIncremental(NewDPLL(), f)
+			inc = NewColdSession((&DPLL{}).Solve, f)
 		}
 		t.Run(name, func(t *testing.T) {
 			core := assumeUnsat(t, inc, []Lit{1, 2, 3})

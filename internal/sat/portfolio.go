@@ -18,7 +18,7 @@ func (p *PortfolioResult) TotalStats() Stats { return p.Result.Stats }
 // The name stays only while the benchmark binds it, and goes when
 // ROADMAP item 1 unpins it. f is not mutated.
 func SolvePortfolio(f *Formula, n int) PortfolioResult {
-	in := NewCDCL().StartIncremental(f).(*Incremental)
+	in := NewCDCL().StartIncremental(f)
 	res := in.SolveAssuming(nil)
 	res.Stats = in.TotalStats()
 	return PortfolioResult{Result: res, session: in}

@@ -121,7 +121,7 @@ func TestIncrementalCoreClaimLogged(t *testing.T) {
 	f := NewFormula(4)
 	f.Add(-1, 3)
 	f.Add(-2, -3)
-	inc := (&CDCL{LogProof: true}).StartIncremental(f).(*Incremental)
+	inc := (&CDCL{LogProof: true}).StartIncremental(f)
 	res := inc.SolveAssuming([]Lit{1, 2, 4})
 	if res.Status != Unsat || res.Core == nil {
 		t.Fatalf("status = %v core = %v, want assumption Unsat", res.Status, res.Core)
@@ -149,7 +149,7 @@ func TestIncrementalCoreClaimLogged(t *testing.T) {
 func TestIncrementalAddClauseLogsInput(t *testing.T) {
 	f := NewFormula(2)
 	f.Add(1, 2)
-	inc := (&CDCL{LogProof: true}).StartIncremental(f).(*Incremental)
+	inc := (&CDCL{LogProof: true}).StartIncremental(f)
 	inc.AddClause(Clause{-1})
 	inc.AddClause(Clause{-2})
 	res := inc.SolveAssuming(nil)

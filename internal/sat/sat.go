@@ -2,7 +2,8 @@
 // configuration engine. The paper uses MiniSat; this package provides a
 // from-scratch CDCL solver (conflict-driven clause learning with
 // two-literal watching, VSIDS branching, first-UIP learning, and Luby
-// restarts) plus a simple DPLL solver used as an ablation baseline.
+// restarts), the engine's only solver. A plain DPLL solver lives in the
+// package's tests as a reference oracle.
 //
 // Formulas are in CNF. Variables are numbered 1..NumVars; a literal is a
 // non-zero int whose sign gives polarity (DIMACS convention).
@@ -146,6 +147,32 @@ type Stats struct {
 	ProofSteps int64
 }
 
+// Add returns the field-by-field sum s + o: the effort of two solves
+// together.
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		Decisions:    s.Decisions + o.Decisions,
+		Propagations: s.Propagations + o.Propagations,
+		Conflicts:    s.Conflicts + o.Conflicts,
+		Learned:      s.Learned + o.Learned,
+		Restarts:     s.Restarts + o.Restarts,
+		ProofSteps:   s.ProofSteps + o.ProofSteps,
+	}
+}
+
+// Sub returns the field-by-field difference s − o: the effort between
+// two snapshots of a session's TotalStats.
+func (s Stats) Sub(o Stats) Stats {
+	return Stats{
+		Decisions:    s.Decisions - o.Decisions,
+		Propagations: s.Propagations - o.Propagations,
+		Conflicts:    s.Conflicts - o.Conflicts,
+		Learned:      s.Learned - o.Learned,
+		Restarts:     s.Restarts - o.Restarts,
+		ProofSteps:   s.ProofSteps - o.ProofSteps,
+	}
+}
+
 // Result is the outcome of a Solve call. Model is indexed by variable
 // (Model[v] for v in 1..NumVars; index 0 unused) and valid iff Status is
 // Sat.
@@ -164,13 +191,6 @@ type Result struct {
 	// internal/certify replays it against the original formula with an
 	// independent unit-propagator.
 	Proof *Proof
-}
-
-// Solver solves CNF formulas. Implementations: *CDCL, *DPLL.
-type Solver interface {
-	Solve(f *Formula) Result
-	// Name identifies the implementation in benchmarks.
-	Name() string
 }
 
 // Verify checks that an assignment satisfies the formula; it returns the

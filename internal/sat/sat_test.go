@@ -7,7 +7,11 @@ import (
 	"testing/quick"
 )
 
-func solvers() []Solver { return []Solver{NewCDCL(), NewDPLL()} }
+// solvers are the engine's CDCL and the DPLL oracle, by name.
+var solvers = []struct {
+	name  string
+	solve func(*Formula) Result
+}{{"cdcl", NewCDCL().Solve}, {"dpll", (&DPLL{}).Solve}}
 
 func TestLitBasics(t *testing.T) {
 	l := Lit(3)
@@ -17,82 +21,82 @@ func TestLitBasics(t *testing.T) {
 }
 
 func TestTrivial(t *testing.T) {
-	for _, s := range solvers() {
+	for _, s := range solvers {
 		f := NewFormula(1)
 		f.AddUnit(1)
-		r := s.Solve(f)
+		r := s.solve(f)
 		if r.Status != Sat || !r.Model[1] {
-			t.Errorf("%s: unit positive: %v", s.Name(), r)
+			t.Errorf("%s: unit positive: %v", s.name, r)
 		}
 
 		f2 := NewFormula(1)
 		f2.AddUnit(-1)
-		r2 := s.Solve(f2)
+		r2 := s.solve(f2)
 		if r2.Status != Sat || r2.Model[1] {
-			t.Errorf("%s: unit negative: %v", s.Name(), r2)
+			t.Errorf("%s: unit negative: %v", s.name, r2)
 		}
 
 		f3 := NewFormula(1)
 		f3.AddUnit(1)
 		f3.AddUnit(-1)
-		if r3 := s.Solve(f3); r3.Status != Unsat {
-			t.Errorf("%s: x ∧ ¬x should be UNSAT, got %v", s.Name(), r3.Status)
+		if r3 := s.solve(f3); r3.Status != Unsat {
+			t.Errorf("%s: x ∧ ¬x should be UNSAT, got %v", s.name, r3.Status)
 		}
 
 		f4 := NewFormula(0)
 		f4.Add() // empty clause
-		if r4 := s.Solve(f4); r4.Status != Unsat {
-			t.Errorf("%s: empty clause should be UNSAT", s.Name())
+		if r4 := s.solve(f4); r4.Status != Unsat {
+			t.Errorf("%s: empty clause should be UNSAT", s.name)
 		}
 
 		f5 := NewFormula(2) // empty formula: SAT
-		if r5 := s.Solve(f5); r5.Status != Sat {
-			t.Errorf("%s: empty formula should be SAT", s.Name())
+		if r5 := s.solve(f5); r5.Status != Sat {
+			t.Errorf("%s: empty formula should be SAT", s.name)
 		}
 	}
 }
 
 func TestImplicationChain(t *testing.T) {
-	for _, s := range solvers() {
+	for _, s := range solvers {
 		f := NewFormula(50)
 		f.AddUnit(1)
 		for i := 1; i < 50; i++ {
 			f.AddImplies(Lit(i), Lit(i+1))
 		}
-		r := s.Solve(f)
+		r := s.solve(f)
 		if r.Status != Sat {
-			t.Fatalf("%s: chain should be SAT", s.Name())
+			t.Fatalf("%s: chain should be SAT", s.name)
 		}
 		for v := 1; v <= 50; v++ {
 			if !r.Model[v] {
-				t.Fatalf("%s: var %d should be true by propagation", s.Name(), v)
+				t.Fatalf("%s: var %d should be true by propagation", s.name, v)
 			}
 		}
 	}
 }
 
 func TestExactlyOne(t *testing.T) {
-	for _, s := range solvers() {
+	for _, s := range solvers {
 		f := NewFormula(4)
 		f.AddExactlyOne(1, 2, 3, 4)
-		r := s.Solve(f)
+		r := s.solve(f)
 		if r.Status != Sat {
-			t.Fatalf("%s: exactly-one should be SAT", s.Name())
+			t.Fatalf("%s: exactly-one should be SAT", s.name)
 		}
 		if n := len(TrueVars(r.Model)); n != 1 {
-			t.Errorf("%s: exactly one var should be true, got %d", s.Name(), n)
+			t.Errorf("%s: exactly one var should be true, got %d", s.name, n)
 		}
 	}
 }
 
 func TestExactlyOneConflict(t *testing.T) {
-	for _, s := range solvers() {
+	for _, s := range solvers {
 		f := NewFormula(2)
 		f.AddExactlyOne(1, 2)
 		f.AddUnit(1)
 		f.AddUnit(2)
-		if r := s.Solve(f); r.Status != Unsat {
-			t.Errorf("%s: forcing two of an exactly-one should be UNSAT", s.Name())
+		if r := s.solve(f); r.Status != Unsat {
+			t.Errorf("%s: forcing two of an exactly-one should be UNSAT", s.name)
 		}
 	}
 }
@@ -100,25 +104,25 @@ func TestExactlyOneConflict(t *testing.T) {
 func TestImpliesExactlyOne(t *testing.T) {
 	// The paper's openmrs → ⊕{jdk, jre} constraint shape: guard false
 	// means no obligation.
-	for _, s := range solvers() {
+	for _, s := range solvers {
 		f := NewFormula(3)
 		f.AddImpliesExactlyOne(1, 2, 3)
 		f.AddUnit(-1)
 		f.AddUnit(-2)
 		f.AddUnit(-3)
-		if r := s.Solve(f); r.Status != Sat {
-			t.Errorf("%s: unguarded exactly-one should allow all-false", s.Name())
+		if r := s.solve(f); r.Status != Sat {
+			t.Errorf("%s: unguarded exactly-one should allow all-false", s.name)
 		}
 
 		f2 := NewFormula(3)
 		f2.AddImpliesExactlyOne(1, 2, 3)
 		f2.AddUnit(1)
-		r2 := s.Solve(f2)
+		r2 := s.solve(f2)
 		if r2.Status != Sat {
-			t.Fatalf("%s: guarded exactly-one should be SAT", s.Name())
+			t.Fatalf("%s: guarded exactly-one should be SAT", s.name)
 		}
 		if r2.Model[2] == r2.Model[3] {
-			t.Errorf("%s: exactly one of {2,3} must hold, model=%v", s.Name(), r2.Model)
+			t.Errorf("%s: exactly one of {2,3} must hold, model=%v", s.name, r2.Model)
 		}
 	}
 }
@@ -126,7 +130,7 @@ func TestImpliesExactlyOne(t *testing.T) {
 func TestPaperSection2Constraints(t *testing.T) {
 	// The exact constraint system from §2 of the paper:
 	// vars: server=1 tomcat=2 openmrs=3 jdk=4 jre=5 mysql=6
-	for _, s := range solvers() {
+	for _, s := range solvers {
 		f := NewFormula(6)
 		f.AddUnit(1)                    // server from install spec
 		f.AddUnit(2)                    // tomcat from install spec
@@ -139,19 +143,19 @@ func TestPaperSection2Constraints(t *testing.T) {
 		f.AddImplies(6, 1)              // mysql → server (inside)
 		f.AddImplies(4, 1)              // jdk → server (inside)
 		f.AddImplies(5, 1)              // jre → server (inside)
-		r := s.Solve(f)
+		r := s.solve(f)
 		if r.Status != Sat {
-			t.Fatalf("%s: §2 constraints should be SAT", s.Name())
+			t.Fatalf("%s: §2 constraints should be SAT", s.name)
 		}
 		m := r.Model
 		if !m[1] || !m[2] || !m[3] || !m[6] {
-			t.Errorf("%s: server, tomcat, openmrs, mysql must all be deployed: %v", s.Name(), m)
+			t.Errorf("%s: server, tomcat, openmrs, mysql must all be deployed: %v", s.name, m)
 		}
 		if m[4] == m[5] {
-			t.Errorf("%s: exactly one of jdk/jre: %v", s.Name(), m)
+			t.Errorf("%s: exactly one of jdk/jre: %v", s.name, m)
 		}
 		if i := Verify(f, m); i >= 0 {
-			t.Errorf("%s: model falsifies clause %d", s.Name(), i)
+			t.Errorf("%s: model falsifies clause %d", s.name, i)
 		}
 	}
 }
@@ -180,10 +184,10 @@ func pigeonhole(n int) *Formula {
 }
 
 func TestPigeonholeUnsat(t *testing.T) {
-	for _, s := range solvers() {
+	for _, s := range solvers {
 		for n := 2; n <= 5; n++ {
-			if r := s.Solve(pigeonhole(n)); r.Status != Unsat {
-				t.Errorf("%s: PHP(%d) should be UNSAT, got %v", s.Name(), n, r.Status)
+			if r := s.solve(pigeonhole(n)); r.Status != Unsat {
+				t.Errorf("%s: PHP(%d) should be UNSAT, got %v", s.name, n, r.Status)
 			}
 		}
 	}
@@ -216,7 +220,7 @@ func randomFormula(rng *rand.Rand, nVars, nClauses int) *Formula {
 
 func TestSolversAgreeOnRandom3SAT(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	cdcl, dpll := NewCDCL(), NewDPLL()
+	cdcl, dpll := NewCDCL(), &DPLL{}
 	for trial := 0; trial < 60; trial++ {
 		nVars := 10 + rng.Intn(20)
 		nClauses := int(float64(nVars) * (3.0 + rng.Float64()*2.0))
@@ -254,13 +258,13 @@ func TestCDCLModelAlwaysVerifies(t *testing.T) {
 }
 
 func TestTautologyAndDuplicates(t *testing.T) {
-	for _, s := range solvers() {
+	for _, s := range solvers {
 		f := NewFormula(2)
 		f.Add(1, -1)   // tautology
 		f.Add(2, 2, 2) // duplicates
 		f.AddUnit(-2)  // conflicts with above
-		if r := s.Solve(f); r.Status != Unsat {
-			t.Errorf("%s: want UNSAT, got %v", s.Name(), r.Status)
+		if r := s.solve(f); r.Status != Unsat {
+			t.Errorf("%s: want UNSAT, got %v", s.name, r.Status)
 		}
 	}
 }

@@ -50,7 +50,7 @@ func TestSolveStageCounts(t *testing.T) {
 			order = append(order, prob.VarOf[id])
 		}
 
-		sess := sat.NewCDCL().StartIncremental(prob.Formula).(*sat.Incremental)
+		sess := sat.NewCDCL().StartIncremental(prob.Formula)
 		res := sess.SolveAssuming(nil)
 		if res.Status != sat.Sat {
 			t.Fatalf("%s: first solve: %v", pin.shape, res.Status)

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"engage/internal/constraint"
+	"engage/internal/hypergraph"
 	"engage/internal/lint"
 	"engage/internal/sat"
 	"engage/internal/workload"
@@ -43,17 +45,15 @@ func TestFleetLintCleanOfErrors(t *testing.T) {
 // TestSeededConflictMUS pins the acceptance criteria for MUS
 // extraction on a fleet with a seeded version conflict.
 //
-// Two raw-core regimes exist. A one-shot solver behind the cold
-// incremental adapter (DPLL here) cannot attribute the conflict, so its
-// raw assumption core is the entire selector set — deletion-based
-// shrinking must collapse hundreds of constraints to the handful that
-// actually conflict, strictly smaller than the raw core. The CDCL's
-// analyzeFinal core is already tight for spec-pinned conflicts (they
-// fail during assumption assertion by pure unit propagation, so the
-// implication graph behind the failed assumption is exactly one
-// derivation), and shrinking verifies minimality without removing
-// anything. In both regimes the story must name the actual conflicting
-// instances.
+// Two raw-core regimes exist. Lint's CDCL analyzeFinal core is already
+// tight for spec-pinned conflicts (they fail during assumption assertion
+// by pure unit propagation, so the implication graph behind the failed
+// assumption is exactly one derivation), and shrinking verifies
+// minimality without removing anything; the story must name the actual
+// conflicting instances. Started instead from the entire selector set —
+// the core a solver that cannot attribute the conflict would report —
+// deletion-based shrinking must collapse hundreds of constraints to the
+// same handful, strictly smaller than where it started.
 func TestSeededConflictMUS(t *testing.T) {
 	reg, partial, err := workload.Generate(workload.Spec{
 		Seed: 42, Families: 8, Versions: 3, Machines: 3, Instances: 2, Conflicts: 1,
@@ -81,20 +81,20 @@ func TestSeededConflictMUS(t *testing.T) {
 		}
 	}
 
-	dpll := lint.ExplainUnsat(reg, partial, lint.Options{Solver: sat.NewDPLL()})
-	if dpll == nil {
-		t.Fatal("DPLL explanation missing")
+	g, err := hypergraph.Generate(reg, partial)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if dpll.RawCoreSize != dpll.Selectors {
-		t.Errorf("one-shot raw core = %d, want the whole selector set (%d)",
-			dpll.RawCoreSize, dpll.Selectors)
+	ap := constraint.EncodeAssumable(g, constraint.Pairwise)
+	mus, st := sat.ShrinkCore(sat.NewCDCL().StartIncremental(ap.Formula), ap.Selectors)
+	if st.InitialSize != cdcl.Selectors {
+		t.Errorf("shrinking started from %d selectors, want the whole set (%d)", st.InitialSize, cdcl.Selectors)
 	}
-	if len(dpll.Core) >= dpll.RawCoreSize {
-		t.Errorf("MUS size %d not strictly smaller than raw core %d",
-			len(dpll.Core), dpll.RawCoreSize)
+	if len(mus) >= st.InitialSize {
+		t.Errorf("MUS size %d not strictly smaller than the selector set %d", len(mus), st.InitialSize)
 	}
-	if len(dpll.Core) != 4 {
-		t.Errorf("DPLL MUS size = %d, want 4", len(dpll.Core))
+	if len(mus) != 4 {
+		t.Errorf("MUS from the whole selector set has %d constraints, want 4", len(mus))
 	}
 }
 
