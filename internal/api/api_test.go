@@ -103,10 +103,16 @@ func newTestServerAt(t testing.TB, parallelism int) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newServerOver(t, reg, testDrivers(t), parallelism)
+}
+
+// newServerOver builds a control plane over reg with a pinned clock.
+func newServerOver(t testing.TB, reg *resource.Registry, drivers *deploy.DriverRegistry, parallelism int) *Server {
+	t.Helper()
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	s, err := New(Options{
 		Registry:    reg,
-		Drivers:     testDrivers(t),
+		Drivers:     drivers,
 		Parallelism: parallelism,
 		Now:         func() time.Time { return epoch },
 	})

@@ -50,6 +50,12 @@ func goldenScripts(t *testing.T) map[string][]scriptReq {
 	return map[string][]scriptReq{
 		// The happy path: a choiceful configure, cold.
 		"configure_ok": {post("/v1/configure", map[string]any{"partial": choicePartial()})},
+		// The same body twice: the second answer is a pool hit, pinned
+		// byte for byte like the cold one.
+		"configure_warm": {
+			post("/v1/configure", map[string]any{"partial": choicePartial()}),
+			post("/v1/configure", map[string]any{"partial": choicePartial()}),
+		},
 		// Unsat spec → 422 with the MUS story and structured core.
 		"configure_unsat": {post("/v1/configure", map[string]any{"partial": unsatPartial()})},
 		// Malformed JSON → 400 error envelope.

@@ -17,6 +17,7 @@ package api
 //	500 {"error":{"code":"internal", ...}}
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -208,8 +209,8 @@ type configureRequest struct {
 	Parallel bool `json:"parallel,omitempty"`
 }
 
-type configureResponse struct {
-	Full      *spec.Full  `json:"full"`
+// configureTail is what a configure response carries after "full".
+type configureTail struct {
 	Instances int         `json:"instances"`
 	Lines     int         `json:"lines"`
 	Warm      bool        `json:"warm"`
@@ -217,26 +218,65 @@ type configureResponse struct {
 	Solver    solverStats `json:"solver"`
 }
 
-// configured is what withSession lends a request: the answer to its
-// configuration request and the session that gave it.
+// configured is what withSession lends a request: the pooled session
+// that answers its configuration request, and that answer on first need.
 type configured struct {
-	full    *spec.Full
-	session *config.Session
-	warm    bool      // a pool hit, not a cold solve
-	solves  int64     // warm re-solves the session has served
-	solver  sat.Stats // this call's effort delta
+	s      *Server
+	ps     *PooledSession
+	warm   bool       // a pool hit, not a cold solve
+	full   *spec.Full // a miss's cold answer, until fresh takes it
+	solver sat.Stats  // this call's effort delta
 }
 
-// withSession answers a configuration request through the warm-session
-// pool and lends the answer and its session to use before the session
-// goes back. It is the one way into the pool, for configure, deploy and
-// stack writes alike: a hit rebuilds from the session's retained,
+// fresh returns a newly built answer the caller may keep and mutate: a
+// miss's cold answer, else a rebuild from the session's retained,
 // already-proven model — zero solver effort, strictly fewer propagations
-// than the cold search — while a miss solves cold and donates the fresh
-// session on the way out. The session is exclusively the request's while
-// use runs; an error or a panic before the end, in use included, leaves
-// it in an unknown state: discarded, never pooled again.
-func (s *Server) withSession(p *spec.Partial, use func(c configured) error) error {
+// than the cold search.
+func (c *configured) fresh() (*spec.Full, error) {
+	if full := c.full; full != nil {
+		c.full = nil
+		return full, nil
+	}
+	full, st, err := c.ps.Session.Resolve(c.s.engine(), c.ps.Partial)
+	if err != nil {
+		// The pooled session already proved this exact partial once;
+		// failing to rebuild it is resident-state corruption, not a
+		// client error.
+		return nil, internalError{err}
+	}
+	c.solver = st
+	return full, nil
+}
+
+// encode fills the session's encoded answer the first time a configure
+// request is answered on it, from a fresh answer; later hits find it
+// there and do neither the rebuild nor the encoding.
+func (c *configured) encode() error {
+	if c.ps.answer != nil {
+		return nil
+	}
+	full, err := c.fresh()
+	if err != nil {
+		return err
+	}
+	answer, err := json.MarshalIndent(full, "  ", "  ")
+	if err != nil {
+		return err
+	}
+	c.ps.answer, c.ps.instances = answer, len(full.Instances)
+	c.ps.lines = bytes.Count(answer, []byte("\n")) + 1
+	return nil
+}
+
+// withSession checks the session for a configuration request out of the
+// warm-session pool and lends it to use before it goes back. It is the
+// one way into the pool, for configure, deploy and stack writes alike: a
+// miss solves cold and donates the fresh session on the way out, a hit
+// lends the pooled one, and use builds the answer it needs from it. The
+// session is exclusively the request's while use runs; an error or a
+// panic before the end, in use included, leaves it in an unknown state:
+// discarded, never pooled again.
+func (s *Server) withSession(p *spec.Partial, use func(c *configured) error) error {
 	key, err := s.requestKey(p)
 	if err != nil {
 		return err
@@ -250,16 +290,10 @@ func (s *Server) withSession(p *spec.Partial, use func(c configured) error) erro
 			s.pool.Discard(ps)
 		}
 	}()
-	c := configured{warm: ps != nil}
+	c := &configured{s: s, warm: ps != nil}
 	if c.warm {
 		if s.panicOn != nil {
 			s.panicOn("configure.warm")
-		}
-		if c.full, c.solver, err = ps.Session.Resolve(s.engine(), ps.Partial); err != nil {
-			// The pooled session already proved this exact partial once;
-			// failing to rebuild it is resident-state corruption, not a
-			// client error.
-			return internalError{err}
 		}
 		ps.Solves++
 	} else {
@@ -269,30 +303,10 @@ func (s *Server) withSession(p *spec.Partial, use func(c configured) error) erro
 		}
 		ps = &PooledSession{Key: key, Partial: p, Session: sess}
 	}
-	c.session, c.solves = ps.Session, ps.Solves
+	c.ps = ps
 	err = use(c)
 	ok = err == nil
 	return err
-}
-
-// configureOn is withSession for a request that needs only the answer.
-func (s *Server) configureOn(p *spec.Partial) (*configureResponse, error) {
-	var c configured
-	err := s.withSession(p, func(lent configured) error {
-		c = lent
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &configureResponse{
-		Full:      c.full,
-		Instances: len(c.full.Instances),
-		Lines:     spec.LineCount(c.full),
-		Warm:      c.warm,
-		Solves:    c.solves,
-		Solver:    toSolverStats(c.solver),
-	}, nil
 }
 
 func (s *Server) handleConfigure(w http.ResponseWriter, r *http.Request) {
@@ -305,12 +319,49 @@ func (s *Server) handleConfigure(w http.ResponseWriter, r *http.Request) {
 			`"partial" must name at least one instance`, nil)
 		return
 	}
-	resp, err := s.configureOn(req.Partial)
+	var answer []byte
+	var tail configureTail
+	err := s.withSession(req.Partial, func(c *configured) error {
+		if err := c.encode(); err != nil {
+			return err
+		}
+		ps := c.ps
+		answer = ps.answer
+		tail = configureTail{
+			Instances: ps.instances,
+			Lines:     ps.lines,
+			Warm:      c.warm,
+			Solves:    ps.Solves,
+			Solver:    toSolverStats(c.solver),
+		}
+		return nil
+	})
 	if err != nil {
 		writeConfigureError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeConfigured(w, answer, tail)
+}
+
+// fullKey opens a configure response, up to the value of "full".
+var fullKey = []byte("{\n  \"full\": ")
+
+// writeConfigured writes a configure response, cold or warm: the same
+// bytes writeJSON writes for {"full": …, then tail's fields}, with the
+// full specification already encoded at the depth it sits at.
+func writeConfigured(w http.ResponseWriter, answer []byte, tail configureTail) {
+	rest, err := json.MarshalIndent(tail, "", "  ")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(fullKey)
+	w.Write(answer)
+	// The tail's opening brace becomes the comma that ends "full".
+	rest[0] = ','
+	w.Write(append(rest, '\n'))
 }
 
 type deployResponse struct {
@@ -332,7 +383,14 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 			`"partial" must name at least one instance`, nil)
 		return
 	}
-	conf, err := s.configureOn(req.Partial)
+	var full *spec.Full
+	var warm bool
+	var solver sat.Stats
+	err := s.withSession(req.Partial, func(c *configured) (err error) {
+		full, err = c.fresh()
+		warm, solver = c.warm, c.solver
+		return err
+	})
 	if err != nil {
 		writeConfigureError(w, err)
 		return
@@ -341,7 +399,7 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	// isolated and the virtual elapsed time is the request's own.
 	opts := s.deployOptions(machine.NewWorld())
 	opts.Parallel = req.Parallel
-	d, err := deploy.New(conf.Full, opts)
+	d, err := deploy.New(full, opts)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "deploy_failed", err.Error(), nil)
 		return
@@ -350,17 +408,17 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "deploy_failed", err.Error(), nil)
 		return
 	}
-	status := make(map[string]string, len(conf.Full.Instances))
+	status := make(map[string]string, len(full.Instances))
 	for id, st := range d.Status() {
 		status[id] = string(st)
 	}
 	writeJSON(w, http.StatusOK, deployResponse{
-		Instances: len(conf.Full.Instances),
+		Instances: len(full.Instances),
 		ElapsedNs: d.Elapsed().Nanoseconds(),
-		Machines:  conf.Full.Machines(),
+		Machines:  full.Machines(),
 		Status:    status,
-		Warm:      conf.Warm,
-		Solver:    conf.Solver,
+		Warm:      warm,
+		Solver:    toSolverStats(solver),
 	})
 }
 
@@ -537,25 +595,31 @@ func (s *Server) stackApply(w http.ResponseWriter, name string, req *stackPostRe
 	// session is the request's only until the apply is done; the entry
 	// keeps the partial, not the session.
 	warm := false
-	err := s.withSession(req.Partial, func(c configured) error {
+	err := s.withSession(req.Partial, func(c *configured) error {
 		if s.panicOn != nil {
 			s.panicOn("stack.apply")
 		}
 		warm = c.warm
+		// The stack keeps the desired state and mutates it in place, so
+		// it gets a fresh answer, never the session's encoded one.
+		full, err := c.fresh()
+		if err != nil {
+			return err
+		}
 		if e.applied == nil {
 			// Fresh apply (or a record reloaded from a state file whose
 			// live world died with the previous process): build a world.
 			world := machine.NewWorld()
 			ctl := &stack.Controller{Options: s.deployOptions(world)}
-			a, err := ctl.ApplyConfigured(name, c.full)
+			a, err := ctl.ApplyConfigured(name, full)
 			if err != nil {
 				return err
 			}
 			e.world, e.applied, e.partial = world, a, req.Partial
 			return nil
 		}
-		err := e.applied.ReapplyConfigured(c.full)
-		if e.applied.Stack.Desired == c.full {
+		err = e.applied.ReapplyConfigured(full)
+		if e.applied.Stack.Desired == full {
 			// The remembered partial follows the desired state, also
 			// when recording the bindings failed after the switch.
 			e.partial = req.Partial
@@ -630,8 +694,8 @@ func (s *Server) stackReconcile(w http.ResponseWriter, name string, req *stackPo
 	var converged bool
 	if len(e.applied.Verify()) == 0 {
 		reps, converged = e.applied.ReconcileUntilConverged(maxRounds)
-	} else if err := s.withSession(e.partial, func(c configured) error {
-		e.applied.Session = c.session
+	} else if err := s.withSession(e.partial, func(c *configured) error {
+		e.applied.Session = c.ps.Session
 		defer func() { e.applied.Session = nil }()
 		reps, converged = e.applied.ReconcileUntilConverged(maxRounds)
 		return nil

@@ -7,7 +7,8 @@ package api
 // activity, and saved phases carry over, so the warm solve does
 // strictly fewer propagations than the cold one (PR 1's 13–342× win,
 // now amortized across HTTP requests instead of dying with each CLI
-// process).
+// process). A session also keeps the configure answer it gave, encoded,
+// so a repeat /v1/configure writes those bytes without rebuilding them.
 //
 // Sessions are exclusive while checked out: a *config.Session is
 // single-goroutine state, so the pool hands each one to at most one
@@ -37,6 +38,16 @@ type PooledSession struct {
 	Session *config.Session
 	// Solves counts warm re-solves served by this session.
 	Solves int64
+
+	// answer is the session's configure answer in encoded form: the
+	// "full" value exactly as it sits inside a configure response, taken
+	// from a specification that has just passed the engine's CheckSpec.
+	// It is filled by the first configure request answered on the session
+	// and never changes after: Session.Model, which it is built from, is
+	// fixed. instances and lines describe the same specification.
+	answer    []byte
+	instances int
+	lines     int
 }
 
 // PoolStats is a point-in-time view of pool effectiveness.

@@ -5,6 +5,7 @@ package api
 // session re-pooled would corrupt every later request that drew it.
 
 import (
+	"bytes"
 	"net/http"
 	"testing"
 
@@ -18,16 +19,21 @@ func TestPanickedRequestDiscardsSession(t *testing.T) {
 	h := s.Handler()
 	payload := configureBody(t, choicePartial())
 
-	// Cold solve donates a warm session to the pool.
-	if st, _, _ := do(t, h, "POST", "/v1/configure", payload); st != http.StatusOK {
+	// Cold solve donates a warm session to the pool, and a hit is served
+	// the answer that session encoded.
+	st, _, cold := do(t, h, "POST", "/v1/configure", payload)
+	if st != http.StatusOK {
 		t.Fatalf("cold configure failed: %d", st)
 	}
+	if st, resp, _ := do(t, h, "POST", "/v1/configure", payload); st != http.StatusOK || resp["warm"] != true {
+		t.Fatalf("first hit: status %d warm=%v, want warm 200", st, resp["warm"])
+	}
 	if ps := s.PoolStats(); ps.Idle != 1 {
-		t.Fatalf("pool idle = %d after cold solve, want 1", ps.Idle)
+		t.Fatalf("pool idle = %d after cold solve and hit, want 1", ps.Idle)
 	}
 
 	// Arm the fault hook: the next warm request panics while its
-	// session is checked out.
+	// session, which holds a cached answer, is checked out.
 	armed := true
 	s.panicOn = func(op string) {
 		if op == "configure.warm" && armed {
@@ -52,10 +58,11 @@ func TestPanickedRequestDiscardsSession(t *testing.T) {
 	}
 
 	// The server keeps serving: the next request is a clean cold solve
-	// that re-donates, and a fourth hits warm again.
-	st, resp, _ = do(t, h, "POST", "/v1/configure", payload)
-	if st != http.StatusOK || resp["warm"] != false {
-		t.Fatalf("post-panic request: status %d warm=%v, want cold 200", st, resp["warm"])
+	// that answers with the first cold bytes and re-donates, and the one
+	// after hits warm again.
+	st, _, raw := do(t, h, "POST", "/v1/configure", payload)
+	if st != http.StatusOK || !bytes.Equal(raw, cold) {
+		t.Fatalf("post-panic request: status %d, want the first cold answer byte for byte\ngot:  %s\nwant: %s", st, raw, cold)
 	}
 	st, resp, _ = do(t, h, "POST", "/v1/configure", payload)
 	if st != http.StatusOK || resp["warm"] != true {
@@ -63,8 +70,8 @@ func TestPanickedRequestDiscardsSession(t *testing.T) {
 	}
 
 	ps = s.PoolStats()
-	if ps.Hits != 2 || ps.Misses != 2 || ps.Discards != 1 || ps.Idle != 1 {
-		t.Errorf("pool stats after recovery = %+v, want 2 hits / 2 misses / 1 discard / 1 idle", ps)
+	if ps.Hits != 3 || ps.Misses != 2 || ps.Discards != 1 || ps.Idle != 1 {
+		t.Errorf("pool stats after recovery = %+v, want 3 hits / 2 misses / 1 discard / 1 idle", ps)
 	}
 
 	// The panic was counted and surfaced in metrics.

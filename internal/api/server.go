@@ -236,14 +236,14 @@ func registryFingerprint(reg *resource.Registry) string {
 }
 
 // requestKey fingerprints a configuration request: the resident library
-// plus the canonical rendering of the partial specification. Requests
-// that render identically hit the same warm sessions.
+// plus the canonical encoding of the partial specification. Requests
+// that encode identically hit the same warm sessions.
 func (s *Server) requestKey(p *spec.Partial) (string, error) {
-	text, err := spec.Render(p)
+	data, err := p.MarshalJSON()
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256([]byte(text))
+	sum := sha256.Sum256(data)
 	return s.libFP + ":" + hex.EncodeToString(sum[:8]), nil
 }
 
