@@ -40,7 +40,6 @@ import (
 	"engage/internal/library"
 	"engage/internal/lint"
 	"engage/internal/machine"
-	"engage/internal/paas"
 	"engage/internal/pkgmgr"
 	"engage/internal/rdl"
 	"engage/internal/resource"
@@ -126,8 +125,9 @@ commands:
   serve   [-addr :8080] [-state store.json] [-rdl f1,f2] [-pool N] [-trace out.jsonl]
                                            run the resident control plane: warm
                                            session pool, CAS deployment store,
-                                           JSON API + /metrics; -paas serves the
-                                           PaaS web service (simulated cloud)
+                                           JSON API + /metrics; §6.2 apps register
+                                           with POST /v1/packages and deploy,
+                                           upgrade and delete as stacks
   stack   apply|status|reconcile           apply a named desired-state stack,
                                            inspect its record, or run drift →
                                            detect → replan → repair rounds
@@ -974,12 +974,10 @@ func printStatusMap(out *os.File, st map[string]string) {
 // cmdServe runs the resident control plane: library, warm-session
 // pool, deployment store, and telemetry stay alive across requests.
 // SIGTERM/SIGINT shut it down gracefully — in-flight requests complete,
-// then the store is flushed to -state. -paas serves the older PaaS
-// platform instead.
+// then the store is flushed to -state.
 func cmdServe(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	paasMode := fs.Bool("paas", false, "serve the PaaS platform (simulated cloud) instead of the control plane")
 	rdlFiles := fs.String("rdl", "", "comma-separated RDL files (default: bundled library)")
 	statePath := fs.String("state", "", "deployment store file: loaded at startup, flushed on shutdown")
 	poolIdle := fs.Int("pool", 4, "idle warm sessions kept per request shape")
@@ -987,20 +985,6 @@ func cmdServe(args []string, out *os.File) error {
 	tracePath := fs.String("trace", "", "write a JSON-lines telemetry trace to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *paasMode {
-		platform, err := paas.NewPlatform()
-		if err != nil {
-			return err
-		}
-		ln, err := net.Listen("tcp", *addr)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "engage PaaS listening on %s (simulated cloud)\n", ln.Addr())
-		fmt.Fprintln(out, "  POST /apps  GET /apps  GET /apps/{name}/status  POST /apps/{name}/upgrade  DELETE /apps/{name}")
-		return (&http.Server{Handler: platform.Handler()}).Serve(ln)
 	}
 
 	var tr *telemetry.Tracer
@@ -1049,8 +1033,8 @@ func cmdServe(args []string, out *os.File) error {
 		return err
 	}
 	fmt.Fprintf(out, "engage control plane listening on %s\n", ln.Addr())
-	fmt.Fprintln(out, "  POST /v1/configure  POST /v1/deploy  POST /v1/lint")
-	fmt.Fprintln(out, "  GET|POST /v1/stacks/{name}  GET /v1/stacks  GET /v1/status  GET /v1/health  GET /metrics")
+	fmt.Fprintln(out, "  POST /v1/configure  POST /v1/deploy  POST /v1/lint  POST /v1/packages")
+	fmt.Fprintln(out, "  GET|POST|DELETE /v1/stacks/{name}  GET /v1/stacks  GET /v1/status  GET /v1/health  GET /metrics")
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

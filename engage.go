@@ -431,9 +431,11 @@ func (s *System) PackageApp(app App) (Archive, error) {
 // and generic driver, after which the app deploys "without requiring
 // any application-specific deployment code".
 func (s *System) RegisterApp(arch Archive) (Key, error) {
-	if err := library.RegisterApp(s.Registry, s.Drivers, arch); err != nil {
+	reg, drivers, err := library.WithApp(s.Registry, s.Drivers, arch)
+	if err != nil {
 		return Key{}, err
 	}
+	s.Registry, s.Drivers = reg, drivers
 	return library.AppKey(arch.Manifest), nil
 }
 

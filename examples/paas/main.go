@@ -1,7 +1,8 @@
 // Platform-as-a-service (§6.2): the commercial story behind Engage.
-// Start the PaaS web service over the simulated cloud, upload a packaged
-// Django application over HTTP, inspect its status, upgrade it, and tear
-// it down — the developer never sees Engage's internals.
+// Start the control plane over the bundled library, upload a packaged
+// Django application over HTTP as a package, deploy it as a stack,
+// upgrade it by re-applying the stack with the next version, and delete
+// it — the developer never sees Engage's internals.
 package main
 
 import (
@@ -13,12 +14,14 @@ import (
 	"net"
 	"net/http"
 
-	"engage/internal/paas"
+	"engage/internal/api"
+	"engage/internal/library"
 	"engage/internal/packager"
+	"engage/internal/resource"
 )
 
 func main() {
-	platform, err := paas.NewPlatform()
+	srv, err := api.NewBundled(api.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -26,10 +29,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	server := &http.Server{Handler: platform.Handler()}
+	server := &http.Server{Handler: srv.Handler()}
 	go func() { _ = server.Serve(ln) }()
+	defer server.Close()
 	base := "http://" + ln.Addr().String()
-	fmt.Printf("PaaS listening on %s\n\n", base)
+	fmt.Printf("control plane listening on %s\n\n", base)
 
 	// The developer packages their app locally…
 	app := packager.App{
@@ -44,59 +48,59 @@ INSTALLED_APPS = ["django.contrib.auth", "notes"]
 			"requirements.txt": "Markdown==2.1\n",
 		},
 	}
-	arch, err := packager.Package(app)
-	if err != nil {
-		log.Fatal(err)
+	// …picks a deployment configuration…
+	cfg := library.DeployConfig{
+		OS:        resource.MakeKey("Ubuntu", "12.04"),
+		WebServer: resource.MakeKey("Gunicorn", "0.13"),
+		Database:  resource.MakeKey("MySQL", "5.1"),
+		Monit:     true,
 	}
-	payload, err := arch.Bytes()
-	if err != nil {
-		log.Fatal(err)
+	// …then uploads the package and applies its stack: once for the
+	// deploy, and again with version 1.1 for the upgrade.
+	for i, version := range []string{"1.0", "1.1"} {
+		app.Version = version
+		arch, err := packager.Package(app)
+		if err != nil {
+			log.Fatal(err)
+		}
+		payload, err := arch.Bytes()
+		if err != nil {
+			log.Fatal(err)
+		}
+		call(http.MethodPost, base+"/v1/packages", payload)
+		apply, err := json.Marshal(map[string]any{
+			"partial":        cfg.Partial(arch.Manifest),
+			"expect_version": i,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		call(http.MethodPost, base+"/v1/stacks/notes", apply)
 	}
-
-	// …and uploads it.
-	resp, err := http.Post(base+"/apps?monit=1", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		log.Fatal(err)
-	}
-	show("POST /apps", resp)
-
-	resp, err = http.Get(base + "/apps/notes/status")
-	if err != nil {
-		log.Fatal(err)
-	}
-	show("GET /apps/notes/status", resp)
-
-	// Upgrade to 1.1.
-	app.Version = "1.1"
-	arch2, err := packager.Package(app)
-	if err != nil {
-		log.Fatal(err)
-	}
-	payload2, _ := arch2.Bytes()
-	resp, err = http.Post(base+"/apps/notes/upgrade", "application/json", bytes.NewReader(payload2))
-	if err != nil {
-		log.Fatal(err)
-	}
-	show("POST /apps/notes/upgrade", resp)
+	call(http.MethodGet, base+"/v1/health", nil)
 
 	// Tear down.
-	req, _ := http.NewRequest(http.MethodDelete, base+"/apps/notes", nil)
-	resp, err = http.DefaultClient.Do(req)
+	call(http.MethodDelete, base+"/v1/stacks/notes?expect_version=2", nil)
+}
+
+// call sends one request, prints the exchange, and exits unless the
+// answer is a 2xx.
+func call(method, url string, body []byte) {
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
 		log.Fatal(err)
 	}
-	show("DELETE /apps/notes", resp)
-
-	_ = server.Close()
-}
-
-func show(label string, resp *http.Response) {
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	var pretty bytes.Buffer
-	if json.Indent(&pretty, body, "  ", "  ") == nil {
-		fmt.Printf("%s → %s\n  %s\n\n", label, resp.Status, pretty.String())
-	} else {
-		fmt.Printf("%s → %s\n  %s\n\n", label, resp.Status, body)
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%s %s → %s\n  %s\n", method, req.URL.Path, resp.Status, bytes.ReplaceAll(bytes.TrimSpace(out), []byte("\n"), []byte("\n  ")))
+	if resp.StatusCode/100 != 2 {
+		log.Fatalf("%s %s failed", method, req.URL.Path)
 	}
 }

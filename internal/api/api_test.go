@@ -513,7 +513,7 @@ func TestHealthEndpoint(t *testing.T) {
 	e := s.entry("web")
 	plan := fault.NewPlan(7).SickenPersistent("", "app")
 	e.applied.Health.Source = plan
-	now := e.world.Clock.Now()
+	now := e.ctl.Options.World.Clock.Now()
 	injected := false
 	for _, tgt := range e.applied.DriftTargets() {
 		if _, ok := plan.InjectSickness(tgt, now); ok {

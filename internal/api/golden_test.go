@@ -95,6 +95,12 @@ func goldenScripts(t *testing.T) map[string][]scriptReq {
 			post("/v1/stacks/web", map[string]any{"action": "apply", "partial": webPartial(9000), "expect_version": 0}),
 			get("/v1/health"),
 		},
+		// The §6.2 platform: register an app package, the identical
+		// archive again (a no-op), another archive under the same key
+		// (409), then the app's stack: create, read, delete with a stale
+		// token (409 with have), delete, and a 404. Over the bundled
+		// library (see bundledScripts).
+		"packages": packagesScript(t, post, get),
 		// Content negotiation on /metrics: Accept text/plain selects the
 		// Prometheus exposition (empty on a fresh registry — the
 		// negotiated Content-Type is the contract here; metrics_fresh
@@ -106,10 +112,36 @@ func goldenScripts(t *testing.T) map[string][]scriptReq {
 	}
 }
 
+// bundledScripts run against the bundled library instead of testRDL.
+var bundledScripts = map[string]bool{"packages": true}
+
+// packagesScript is the "packages" fixture's script.
+func packagesScript(t *testing.T, post func(string, any) scriptReq, get func(string) scriptReq) []scriptReq {
+	arch := appArchive(t, "notes", "1.0")
+	changed := arch
+	changed.Files = map[string]string{"manage.py": "#!/usr/bin/env python\n# changed"}
+	del := func(path string) scriptReq { return scriptReq{method: "DELETE", path: path} }
+	return []scriptReq{
+		{method: "POST", path: "/v1/packages", body: archiveBody(t, arch)},
+		{method: "POST", path: "/v1/packages", body: archiveBody(t, arch)},
+		{method: "POST", path: "/v1/packages", body: archiveBody(t, changed)},
+		post("/v1/stacks/notes", map[string]any{
+			"action": "apply", "partial": appConfig(arch.Manifest).Partial(arch.Manifest), "expect_version": 0,
+		}),
+		get("/v1/stacks/notes"),
+		del("/v1/stacks/notes?expect_version=0"),
+		del("/v1/stacks/notes?expect_version=1"),
+		get("/v1/stacks/notes"),
+	}
+}
+
 func TestGoldenContracts(t *testing.T) {
 	for name, script := range goldenScripts(t) {
 		t.Run(name, func(t *testing.T) {
 			s := newTestServer(t)
+			if bundledScripts[name] {
+				s = newBundledServer(t)
+			}
 			h := s.Handler()
 			steps := make([]goldenStep, 0, len(script))
 			for _, req := range script {

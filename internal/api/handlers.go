@@ -8,8 +8,10 @@ package api
 //
 //	400 {"error":{"code":"bad_request", ...}}   malformed JSON / bad operands
 //	404 {"error":{"code":"not_found", ...}}
-//	409 {"error":{"code":"conflict","have":N}}  CAS version mismatch
+//	409 {"error":{"code":"conflict","have":N}}  CAS version mismatch; a package
+//	                                            key already holds another archive
 //	409 {"error":{"code":"stack_not_live"}}     reconcile on a record-only stack
+//	413 {"error":{"code":"too_large", ...}}     request body over maxBody bytes
 //	422 {"error":{"code":"unsat","story":...}}  no full spec extends the partial,
 //	                                            with the MUS conflict story
 //	422 {"error":{"code":"invalid_spec", ...}}  structurally broken partial
@@ -18,19 +20,24 @@ package api
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"engage/internal/config"
 	"engage/internal/deploy"
 	"engage/internal/health"
+	"engage/internal/library"
 	"engage/internal/lint"
 	"engage/internal/machine"
+	"engage/internal/packager"
 	"engage/internal/sat"
 	"engage/internal/spec"
 	"engage/internal/stack"
@@ -43,9 +50,11 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("POST /v1/configure", s.instrument("configure", s.handleConfigure))
 	mux.HandleFunc("POST /v1/deploy", s.instrument("deploy", s.handleDeploy))
 	mux.HandleFunc("POST /v1/lint", s.instrument("lint", s.handleLint))
+	mux.HandleFunc("POST /v1/packages", s.instrument("packages", s.handlePackagePost))
 	mux.HandleFunc("GET /v1/stacks", s.instrument("stacks", s.handleStackList))
 	mux.HandleFunc("GET /v1/stacks/{name}", s.instrument("stack_get", s.handleStackGet))
 	mux.HandleFunc("POST /v1/stacks/{name}", s.instrument("stack_post", s.handleStackPost))
+	mux.HandleFunc("DELETE /v1/stacks/{name}", s.instrument("stack_delete", s.handleStackDelete))
 	mux.HandleFunc("GET /v1/status", s.instrument("status", s.handleStatus))
 	mux.HandleFunc("GET /v1/health", s.instrument("health", s.handleHealth))
 	mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
@@ -169,12 +178,23 @@ func writeConfigureError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusUnprocessableEntity, "invalid_spec", err.Error(), nil)
 }
 
+// maxBody caps every request body: large enough for an app archive,
+// small enough that no client can make the server buffer without bound.
+const maxBody = 4 << 20
+
 // decodeBody parses a JSON request body into v, mapping failure to the
-// 400 contract. The empty-interface indirection keeps the malformed-JSON
-// behavior identical across endpoints.
+// 400 contract and a body over maxBody to 413. The empty-interface
+// indirection keeps the malformed-JSON behavior identical across
+// endpoints.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "too_large",
+				fmt.Sprintf("request body exceeds %d bytes", maxBody), nil)
+			return false
+		}
 		writeError(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("malformed request body: %v", err), nil)
 		return false
@@ -222,6 +242,7 @@ type configureTail struct {
 // that answers its configuration request, and that answer on first need.
 type configured struct {
 	s      *Server
+	lib    *snapshot // the library the request's session was keyed by
 	ps     *PooledSession
 	warm   bool       // a pool hit, not a cold solve
 	full   *spec.Full // a miss's cold answer, until fresh takes it
@@ -237,7 +258,7 @@ func (c *configured) fresh() (*spec.Full, error) {
 		c.full = nil
 		return full, nil
 	}
-	full, st, err := c.ps.Session.Resolve(c.s.engine(), c.ps.Partial)
+	full, st, err := c.ps.Session.Resolve(c.s.engine(c.lib), c.ps.Partial)
 	if err != nil {
 		// The pooled session already proved this exact partial once;
 		// failing to rebuild it is resident-state corruption, not a
@@ -275,9 +296,10 @@ func (c *configured) encode() error {
 // lends the pooled one, and use builds the answer it needs from it. The
 // session is exclusively the request's while use runs; an error or a
 // panic before the end, in use included, leaves it in an unknown state:
-// discarded, never pooled again.
-func (s *Server) withSession(p *spec.Partial, use func(c *configured) error) error {
-	key, err := s.requestKey(p)
+// discarded, never pooled again. lib is the request's library snapshot:
+// the key and any cold solve both read it.
+func (s *Server) withSession(lib *snapshot, p *spec.Partial, use func(c *configured) error) error {
+	key, err := requestKey(lib, p)
 	if err != nil {
 		return err
 	}
@@ -290,7 +312,7 @@ func (s *Server) withSession(p *spec.Partial, use func(c *configured) error) err
 			s.pool.Discard(ps)
 		}
 	}()
-	c := &configured{s: s, warm: ps != nil}
+	c := &configured{s: s, lib: lib, warm: ps != nil}
 	if c.warm {
 		if s.panicOn != nil {
 			s.panicOn("configure.warm")
@@ -298,7 +320,7 @@ func (s *Server) withSession(p *spec.Partial, use func(c *configured) error) err
 		ps.Solves++
 	} else {
 		var sess *config.Session
-		if c.full, sess, c.solver, err = s.engine().ConfigureSessionStats(p); err != nil {
+		if c.full, sess, c.solver, err = s.engine(lib).ConfigureSessionStats(p); err != nil {
 			return err
 		}
 		ps = &PooledSession{Key: key, Partial: p, Session: sess}
@@ -321,7 +343,7 @@ func (s *Server) handleConfigure(w http.ResponseWriter, r *http.Request) {
 	}
 	var answer []byte
 	var tail configureTail
-	err := s.withSession(req.Partial, func(c *configured) error {
+	err := s.withSession(s.lib.Load(), req.Partial, func(c *configured) error {
 		if err := c.encode(); err != nil {
 			return err
 		}
@@ -386,7 +408,8 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	var full *spec.Full
 	var warm bool
 	var solver sat.Stats
-	err := s.withSession(req.Partial, func(c *configured) (err error) {
+	lib := s.lib.Load()
+	err := s.withSession(lib, req.Partial, func(c *configured) (err error) {
 		full, err = c.fresh()
 		warm, solver = c.warm, c.solver
 		return err
@@ -397,7 +420,7 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	}
 	// Each deploy request gets a fresh simulated world: requests stay
 	// isolated and the virtual elapsed time is the request's own.
-	opts := s.deployOptions(machine.NewWorld())
+	opts := s.deployOptions(lib, machine.NewWorld())
 	opts.Parallel = req.Parallel
 	d, err := deploy.New(full, opts)
 	if err != nil {
@@ -431,7 +454,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	rep := lint.Check(s.opts.Registry, req.Partial, lint.Options{Tracer: s.tracer})
+	rep := lint.Check(s.lib.Load().reg, req.Partial, lint.Options{Tracer: s.tracer})
 	rep.Library = "<resident>"
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
@@ -573,8 +596,7 @@ func (s *Server) stackApply(w http.ResponseWriter, name string, req *stackPostRe
 			`apply needs a "partial" naming at least one instance`, nil)
 		return
 	}
-	e := s.entry(name)
-	e.mu.Lock()
+	e := s.lockEntry(name)
 	defer e.mu.Unlock()
 
 	// Optimistic concurrency: the store version is read under the
@@ -595,7 +617,8 @@ func (s *Server) stackApply(w http.ResponseWriter, name string, req *stackPostRe
 	// session is the request's only until the apply is done; the entry
 	// keeps the partial, not the session.
 	warm := false
-	err := s.withSession(req.Partial, func(c *configured) error {
+	lib := s.lib.Load()
+	err := s.withSession(lib, req.Partial, func(c *configured) error {
 		if s.panicOn != nil {
 			s.panicOn("stack.apply")
 		}
@@ -609,15 +632,18 @@ func (s *Server) stackApply(w http.ResponseWriter, name string, req *stackPostRe
 		if e.applied == nil {
 			// Fresh apply (or a record reloaded from a state file whose
 			// live world died with the previous process): build a world.
-			world := machine.NewWorld()
-			ctl := &stack.Controller{Options: s.deployOptions(world)}
+			ctl := &stack.Controller{Options: s.deployOptions(lib, machine.NewWorld())}
 			a, err := ctl.ApplyConfigured(name, full)
 			if err != nil {
 				return err
 			}
-			e.world, e.applied, e.partial = world, a, req.Partial
+			e.ctl, e.applied, e.partial = ctl, a, req.Partial
 			return nil
 		}
+		// The re-apply resolves types and drivers in the library its
+		// desired state was configured against, which may hold packages
+		// registered since the first apply.
+		e.ctl.Options.Registry, e.ctl.Options.Drivers = lib.reg, lib.drivers
 		err = e.applied.ReapplyConfigured(full)
 		if e.applied.Stack.Desired == full {
 			// The remembered partial follows the desired state, also
@@ -660,8 +686,7 @@ func (s *Server) stackApply(w http.ResponseWriter, name string, req *stackPostRe
 }
 
 func (s *Server) stackReconcile(w http.ResponseWriter, name string, req *stackPostRequest) {
-	e := s.entry(name)
-	e.mu.Lock()
+	e := s.lockEntry(name)
 	defer e.mu.Unlock()
 
 	if e.applied == nil {
@@ -694,7 +719,7 @@ func (s *Server) stackReconcile(w http.ResponseWriter, name string, req *stackPo
 	var converged bool
 	if len(e.applied.Verify()) == 0 {
 		reps, converged = e.applied.ReconcileUntilConverged(maxRounds)
-	} else if err := s.withSession(e.partial, func(c *configured) error {
+	} else if err := s.withSession(s.lib.Load(), e.partial, func(c *configured) error {
 		e.applied.Session = c.ps.Session
 		defer func() { e.applied.Session = nil }()
 		reps, converged = e.applied.ReconcileUntilConverged(maxRounds)
@@ -738,6 +763,120 @@ func (s *Server) stackReconcile(w http.ResponseWriter, name string, req *stackPo
 	writeJSON(w, http.StatusOK, out)
 }
 
+// packageResponse is the body of POST /v1/packages. Registered is false
+// when the identical archive already held the key.
+type packageResponse struct {
+	Key        string `json:"key"`
+	Registered bool   `json:"registered"`
+	Library    string `json:"library_fingerprint"`
+}
+
+// handlePackagePost registers an app archive — what packager's
+// Archive.Bytes emits — as a package of the resident library. A package
+// key is immutable: the identical archive again is a no-op, and another
+// archive under a key the library already holds is a conflict. The new
+// library is a successor snapshot; requests already running finish on
+// the one they loaded.
+func (s *Server) handlePackagePost(w http.ResponseWriter, r *http.Request) {
+	var raw json.RawMessage
+	if !decodeBody(w, r, &raw) {
+		return
+	}
+	arch, err := packager.ReadArchive(raw)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), nil)
+		return
+	}
+	// The canonical encoding, so identical archives match however the
+	// request spaced them.
+	data, err := arch.Bytes()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), nil)
+		return
+	}
+	digest := sha256.Sum256(data)
+	key := library.AppKey(arch.Manifest)
+
+	s.libMu.Lock()
+	defer s.libMu.Unlock()
+	old := s.lib.Load()
+	if have, ok := old.packages[key]; ok && have == digest {
+		writeJSON(w, http.StatusOK, packageResponse{Key: key.String(), Library: old.fp})
+		return
+	}
+	if _, ok := old.reg.Lookup(key); ok {
+		writeError(w, http.StatusConflict, "conflict",
+			fmt.Sprintf("package %q is registered with different contents", key), nil)
+		return
+	}
+	reg, drivers, err := library.WithApp(old.reg, old.drivers, arch)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), nil)
+		return
+	}
+	lib := &snapshot{reg: reg, drivers: drivers, fp: registryFingerprint(reg),
+		packages: maps.Clone(old.packages)}
+	lib.packages[key] = digest
+	s.swap(lib)
+	writeJSON(w, http.StatusOK, packageResponse{Key: key.String(), Registered: true, Library: lib.fp})
+}
+
+// stackDeleteResponse is the body of DELETE /v1/stacks/{name}: the
+// record version the delete removed.
+type stackDeleteResponse struct {
+	Name    string `json:"name"`
+	Version int64  `json:"version"`
+	Status  string `json:"status"`
+}
+
+// handleStackDelete removes a stack: a live one is shut down and
+// uninstalled in reverse dependency order (§5.2) and its world dropped;
+// a record-only one (reloaded from a state file) loses its record.
+// ?expect_version=N is the CAS token, as on apply.
+func (s *Server) handleStackDelete(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	var expect *int64
+	if v := r.URL.Query().Get("expect_version"); v != "" {
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "bad_request",
+				fmt.Sprintf("expect_version %q is not an integer", v), nil)
+			return
+		}
+		expect = &n
+	}
+	e := s.lockEntry(name)
+	defer e.mu.Unlock()
+
+	current := s.store.Version(name)
+	if current == 0 && e.applied == nil {
+		s.dropEntry(name, e)
+		writeError(w, http.StatusNotFound, "not_found",
+			fmt.Sprintf("no stack named %q", name), nil)
+		return
+	}
+	if expect != nil && *expect != current {
+		writeError(w, http.StatusConflict, "conflict",
+			fmt.Sprintf("stack %q is at version %d, not %d", name, current, *expect),
+			func(b *errorBody) { b.Have = current })
+		return
+	}
+	if e.applied != nil {
+		if err := e.applied.Remove(); err != nil {
+			writeError(w, http.StatusInternalServerError, "deploy_failed", err.Error(), nil)
+			return
+		}
+	}
+	s.dropEntry(name, e)
+	// A conflict is unreachable: store writes to a stack serialize on
+	// its entry lock, which this request holds.
+	if err := s.store.Delete(name, current); err != nil {
+		writeError(w, http.StatusInternalServerError, "internal", err.Error(), nil)
+		return
+	}
+	writeJSON(w, http.StatusOK, stackDeleteResponse{Name: name, Version: current, Status: "deleted"})
+}
+
 type statusResponse struct {
 	UptimeMs int64     `json:"uptime_ms"`
 	Requests int64     `json:"requests"`
@@ -753,7 +892,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Requests: s.requests.Load(),
 		Stacks:   s.store.Len(),
 		StoreSeq: s.store.Seq(),
-		Library:  s.libFP,
+		Library:  s.lib.Load().fp,
 		Pool:     s.pool.Stats(),
 	})
 }

@@ -91,7 +91,7 @@ func testConfigureOracle(t *testing.T, tc oracleCase, parallelism int) {
 
 	// The oracle's own session: the cold solve's effort, then a fresh
 	// Resolve for every answer.
-	_, oracle, coldStats, err := s.engine().ConfigureSessionStats(tc.partial)
+	_, oracle, coldStats, err := s.engine(s.lib.Load()).ConfigureSessionStats(tc.partial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func testConfigureOracle(t *testing.T, tc oracleCase, parallelism int) {
 		if st != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", leg, st, raw)
 		}
-		full, solver, err := oracle.Resolve(s.engine(), tc.partial)
+		full, solver, err := oracle.Resolve(s.engine(s.lib.Load()), tc.partial)
 		if err != nil {
 			t.Fatal(err)
 		}

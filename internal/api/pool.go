@@ -19,6 +19,7 @@ package api
 // ever check out again (the audit test proves this).
 
 import (
+	"strings"
 	"sync"
 
 	"engage/internal/config"
@@ -57,14 +58,15 @@ type PoolStats struct {
 	Hits     int64 `json:"hits"`      // checkouts served warm
 	Misses   int64 `json:"misses"`    // checkouts that went cold
 	Discards int64 `json:"discards"`  // sessions dropped (error/panic)
-	Evicted  int64 `json:"evictions"` // returns dropped by the idle cap
+	Evicted  int64 `json:"evictions"` // dropped by the idle cap or a library swap
 }
 
 // sessionPool is the concurrent warm-session cache.
 type sessionPool struct {
 	mu      sync.Mutex
 	idle    map[string][]*PooledSession
-	maxIdle int // per-key idle cap
+	maxIdle int    // per-key idle cap
+	live    string // key prefix of the resident library; see retarget
 	stats   PoolStats
 }
 
@@ -99,19 +101,36 @@ func (p *sessionPool) Checkout(key string) *PooledSession {
 
 // Return parks a healthy session for reuse. Beyond the per-key idle cap
 // the session is dropped — an unbounded pool would pin one solver stack
-// per concurrent cold burst forever.
+// per concurrent cold burst forever — and so is one keyed by a library
+// that is no longer resident.
 func (p *sessionPool) Return(ps *PooledSession) {
 	if ps == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.idle[ps.Key]) >= p.maxIdle {
+	if len(p.idle[ps.Key]) >= p.maxIdle || !strings.HasPrefix(ps.Key, p.live) {
 		p.stats.Evicted++
 		return
 	}
 	p.idle[ps.Key] = append(p.idle[ps.Key], ps)
 	p.stats.Idle++
+}
+
+// retarget makes fp the fingerprint of the resident library. Idle
+// sessions keyed by another library can never hit again: they are
+// dropped now, and one a request returns later is dropped by Return.
+func (p *sessionPool) retarget(fp string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.live = fp + ":"
+	for key, q := range p.idle {
+		if !strings.HasPrefix(key, p.live) {
+			p.stats.Evicted += int64(len(q))
+			p.stats.Idle -= len(q)
+			delete(p.idle, key)
+		}
+	}
 }
 
 // Discard drops a session that may be poisoned: the request holding it

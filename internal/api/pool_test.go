@@ -147,8 +147,8 @@ func TestPanickedApplyDiscardsSession(t *testing.T) {
 }
 
 // TestRolledBackApplyKeepsOldState: an apply whose upgrade fails and
-// rolls the world back is an error to the client and a no-op to the
-// server — desired state, remembered partial and store version stay,
+// rolls the world back is a 500 deploy_failed to the client and a no-op
+// to the server — desired state, remembered partial and store version stay,
 // the session it held is discarded — and the same apply succeeds once
 // the fault is gone.
 func TestRolledBackApplyKeepsOldState(t *testing.T) {
@@ -158,10 +158,12 @@ func TestRolledBackApplyKeepsOldState(t *testing.T) {
 	before := stateOf(t, s, "web")
 
 	e := s.entry("web")
-	e.world.SetInjector(fault.NewPlan(1).FailTransient(machine.OpStartProcess, "", "appd", 1))
+	e.ctl.Options.World.SetInjector(fault.NewPlan(1).FailTransient(machine.OpStartProcess, "", "appd", 1))
 	st, resp, raw := do(t, h, "POST", "/v1/stacks/web", applyPayload(t, webPartial(9001)))
-	if st < 400 {
-		t.Fatalf("apply with the app daemon refusing to start: status %d: %s", st, raw)
+	// The spec was valid and the old stack still runs: a deploy failure,
+	// answered as /v1/deploy answers one, not the client's fault.
+	if code, _ := resp["error"].(map[string]any)["code"].(string); st != http.StatusInternalServerError || code != "deploy_failed" {
+		t.Fatalf("apply with the app daemon refusing to start: status %d, want 500 deploy_failed: %s", st, raw)
 	}
 	if after := stateOf(t, s, "web"); after != before {
 		t.Errorf("the rolled-back apply changed the stack (%v):\nbefore %+v\nafter  %+v", resp, before, after)
@@ -173,7 +175,7 @@ func TestRolledBackApplyKeepsOldState(t *testing.T) {
 		t.Errorf("pool after the rollback = %+v, want the failed apply's session discarded", ps)
 	}
 
-	e.world.SetInjector(nil)
+	e.ctl.Options.World.SetInjector(nil)
 	resp = mustApply(t, h, "web", webPartial(9001))
 	if resp["version"].(float64) != 2 || resp["stack_version"].(float64) != 2 {
 		t.Errorf("apply after the fault cleared: %v, want version 2", resp)

@@ -8,9 +8,12 @@
 //	POST /v1/configure          partial spec in, full spec + solver stats out
 //	POST /v1/deploy             configure + deploy on a fresh simulated world
 //	POST /v1/lint               static diagnostics over the resident library
+//	POST /v1/packages           register an app archive (packager.Archive JSON)
 //	GET  /v1/stacks             list the deployment store
 //	GET  /v1/stacks/{name}      one stack record
 //	POST /v1/stacks/{name}      apply / reconcile, CAS-guarded (409 on conflict)
+//	DELETE /v1/stacks/{name}    uninstall and forget a stack, CAS-guarded by
+//	                            ?expect_version=N
 //	GET  /v1/status             uptime, request counts, pool effectiveness
 //	GET  /v1/health             fleet health rollup (503 when any instance
 //	                            is unhealthy; probes run on demand)
@@ -24,6 +27,11 @@
 // and it is what makes the warm-solver win from PR 1 visible to
 // clients: repeat configurations hit warm clauses instead of re-warming
 // a fresh process per invocation.
+//
+// It is also the §6.2 platform: a packaged Django app is a package
+// registered on the resident library, and its deploy, upgrade and
+// removal are the apply, re-apply and delete of an ordinary stack. The
+// library is an immutable snapshot; a registration swaps in a successor.
 package api
 
 import (
@@ -85,8 +93,11 @@ type Options struct {
 // Server is the resident control plane. Construct with New; the zero
 // value is not usable.
 type Server struct {
-	opts     Options
-	libFP    string // fingerprint of the resolved library
+	opts Options
+	// lib is the resident library. Options.Registry and Options.Drivers
+	// only seed it: every request reads the snapshot it loaded once.
+	lib      atomic.Pointer[snapshot]
+	libMu    sync.Mutex // serializes package registrations
 	pool     *sessionPool
 	store    *store.Store
 	metrics  *telemetry.Registry
@@ -108,16 +119,33 @@ type Server struct {
 	panicOn func(op string)
 }
 
+// snapshot is one immutable view of the resident library: the
+// registry, its drivers, the fingerprint pool keys carry, and the
+// canonical archive digest of each package registered on top of the
+// seed library. A request loads it once and reads only it, so the key a
+// session is pooled under and the registry it was solved against always
+// agree.
+type snapshot struct {
+	reg      *resource.Registry
+	drivers  *deploy.DriverRegistry
+	fp       string
+	packages map[resource.Key][sha256.Size]byte
+}
+
 // stackEntry is one stack's live state. applied stays nil for records
 // reloaded from a state file until the next apply recreates the world.
-// partial is the partial specification of the last successful apply: the
-// pool owns the warm sessions, and a reconcile borrows the stack's by
-// this (applied.Session is nil between requests).
+// ctl holds the stack's world and the library its deployments resolve
+// against. partial is the partial specification of the last successful
+// apply: the pool owns the warm sessions, and a reconcile borrows the
+// stack's by this (applied.Session is nil between requests). removed
+// marks an entry a delete dropped from the server; lockEntry never hands
+// it out.
 type stackEntry struct {
 	mu      sync.Mutex
-	world   *machine.World
+	ctl     *stack.Controller
 	applied *stack.Applied
 	partial *spec.Partial
+	removed bool
 }
 
 // New builds a server over the given options.
@@ -143,7 +171,6 @@ func New(opts Options) (*Server, error) {
 	}
 	s := &Server{
 		opts:    opts,
-		libFP:   registryFingerprint(opts.Registry),
 		pool:    newSessionPool(opts.PoolIdle),
 		store:   st,
 		metrics: opts.Metrics,
@@ -151,8 +178,18 @@ func New(opts Options) (*Server, error) {
 		started: opts.Now(),
 		stacks:  make(map[string]*stackEntry),
 	}
+	s.swap(&snapshot{reg: opts.Registry, drivers: opts.Drivers, fp: registryFingerprint(opts.Registry),
+		packages: map[resource.Key][sha256.Size]byte{}})
 	s.mux = s.routes()
 	return s, nil
+}
+
+// swap makes lib the resident library. Idle sessions keyed by the old
+// one can never hit again, so the pool drops them first; the caller
+// holds libMu (or is New).
+func (s *Server) swap(lib *snapshot) {
+	s.pool.retarget(lib.fp)
+	s.lib.Store(lib)
 }
 
 // NewBundled builds a server over the bundled resource library — the
@@ -182,24 +219,24 @@ func (s *Server) Metrics() *telemetry.Registry { return s.metrics }
 // PoolStats snapshots warm-session pool effectiveness.
 func (s *Server) PoolStats() PoolStats { return s.pool.Stats() }
 
-// engine builds a per-request configuration engine over the resident
-// library. Engines are cheap; the expensive state (registry, warm
-// sessions, metrics) is shared and concurrency-safe.
-func (s *Server) engine() *config.Engine {
-	e := config.New(s.opts.Registry)
+// engine builds a per-request configuration engine over the request's
+// library snapshot. Engines are cheap; the expensive state (registry,
+// warm sessions, metrics) is shared and concurrency-safe.
+func (s *Server) engine(lib *snapshot) *config.Engine {
+	e := config.New(lib.reg)
 	e.Parallelism = s.opts.Parallelism
 	e.Tracer = s.tracer
 	e.Metrics = s.metrics
 	return e
 }
 
-// deployOptions assembles deploy options over a world. Each deploy and
-// each stack gets its own simulated world; the driver registry, package
-// index, and telemetry are resident and shared.
-func (s *Server) deployOptions(w *machine.World) deploy.Options {
+// deployOptions assembles deploy options over a library snapshot and a
+// world. Each deploy and each stack gets its own simulated world; the
+// driver registry, package index, and telemetry are resident and shared.
+func (s *Server) deployOptions(lib *snapshot, w *machine.World) deploy.Options {
 	return deploy.Options{
-		Registry:         s.opts.Registry,
-		Drivers:          s.opts.Drivers,
+		Registry:         lib.reg,
+		Drivers:          lib.drivers,
 		World:            w,
 		Index:            s.opts.Index,
 		Cache:            pkgmgr.NewCache(),
@@ -223,6 +260,29 @@ func (s *Server) entry(name string) *stackEntry {
 	return e
 }
 
+// lockEntry returns the named stack's entry, locked. An entry a
+// concurrent delete dropped while this request waited for it is passed
+// over for the one that now stands under the name.
+func (s *Server) lockEntry(name string) *stackEntry {
+	for {
+		e := s.entry(name)
+		e.mu.Lock()
+		if !e.removed {
+			return e
+		}
+		e.mu.Unlock()
+	}
+}
+
+// dropEntry forgets the named stack's entry, which the caller holds
+// locked, together with the world it kept.
+func (s *Server) dropEntry(name string, e *stackEntry) {
+	e.removed = true
+	s.stacksMu.Lock()
+	delete(s.stacks, name)
+	s.stacksMu.Unlock()
+}
+
 // registryFingerprint hashes the resolved library's sorted type keys.
 // Two servers over the same library share fingerprints, so pool keys
 // derived from it survive a restart conceptually (the sessions do not —
@@ -235,16 +295,17 @@ func registryFingerprint(reg *resource.Registry) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// requestKey fingerprints a configuration request: the resident library
-// plus the canonical encoding of the partial specification. Requests
-// that encode identically hit the same warm sessions.
-func (s *Server) requestKey(p *spec.Partial) (string, error) {
+// requestKey fingerprints a configuration request: the request's
+// library snapshot plus the canonical encoding of the partial
+// specification. Requests that encode identically against one library
+// hit the same warm sessions.
+func requestKey(lib *snapshot, p *spec.Partial) (string, error) {
 	data, err := p.MarshalJSON()
 	if err != nil {
 		return "", err
 	}
 	sum := sha256.Sum256(data)
-	return s.libFP + ":" + hex.EncodeToString(sum[:8]), nil
+	return lib.fp + ":" + hex.EncodeToString(sum[:8]), nil
 }
 
 // cloneStack deep-copies a stack record through its JSON form, so store

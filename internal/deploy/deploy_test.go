@@ -687,6 +687,32 @@ func TestDriverRegistryResolutionOrder(t *testing.T) {
 	}
 }
 
+// TestDriverRegistryWith: With installs a key's factory on a copy; the
+// registry it came from resolves as before.
+func TestDriverRegistryWith(t *testing.T) {
+	reg, err := testlib.OpenMRSRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tomcat := reg.MustLookup(resource.MakeKey("Tomcat", "6.0.18"))
+	dr := NewDriverRegistry()
+	dr.RegisterName("Tomcat", func(*driver.Context) *driver.StateMachine { return driver.MachineMachine() })
+	next := dr.With(tomcat.Key, func(*driver.Context) *driver.StateMachine { return driver.LibraryMachine(nil, nil) })
+	actions := func(r *DriverRegistry) int {
+		f, err := r.Resolve(tomcat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(f(nil).Actions)
+	}
+	if actions(dr) != len(driver.MachineMachine().Actions) {
+		t.Error("With changed the registry it came from")
+	}
+	if actions(next) != len(driver.LibraryMachine(nil, nil).Actions) {
+		t.Error("the copy should resolve the key's new factory")
+	}
+}
+
 func TestDeploymentAccessors(t *testing.T) {
 	log := &eventLog{}
 	d, _ := newDeployment(t, log, false)

@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"fmt"
+	"maps"
 
 	"engage/internal/driver"
 	"engage/internal/resource"
@@ -50,6 +51,20 @@ func (r *DriverRegistry) RegisterAction(name string, fn driver.ActionFunc) {
 // RegisterKey installs a factory for an exact resource key.
 func (r *DriverRegistry) RegisterKey(key resource.Key, f Factory) {
 	r.byKey[key.String()] = f
+}
+
+// With returns a copy of r with f installed for the exact key; r is
+// not changed, so a registry shared by in-flight deployments stays safe
+// to resolve from while its successor takes a new package's driver.
+func (r *DriverRegistry) With(key resource.Key, f Factory) *DriverRegistry {
+	out := &DriverRegistry{
+		byKey:   maps.Clone(r.byKey),
+		byName:  maps.Clone(r.byName),
+		Actions: maps.Clone(r.Actions),
+		Default: r.Default,
+	}
+	out.byKey[key.String()] = f
+	return out
 }
 
 // RegisterName installs a factory for every version of a package name.

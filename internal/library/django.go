@@ -223,20 +223,21 @@ func pkgBase(req string) string {
 	return strings.ToLower(strings.SplitN(req, "==", 2)[0])
 }
 
-// RegisterApp adds a packaged application's generated resource type to a
-// registry and its driver to a driver registry; the common path for
-// deploying a packaged app ("deployable by Engage without requiring any
-// application-specific deployment code").
-func RegisterApp(reg *resource.Registry, drivers *deploy.DriverRegistry, arch packager.Archive) error {
+// WithApp returns reg and drivers extended by a packaged application's
+// generated resource type and its driver: the one way an app joins a
+// library ("deployable by Engage without requiring any
+// application-specific deployment code"). reg and drivers are not
+// changed; a key already in reg is an error.
+func WithApp(reg *resource.Registry, drivers *deploy.DriverRegistry, arch packager.Archive) (*resource.Registry, *deploy.DriverRegistry, error) {
 	if arch.Manifest.Name == "" {
-		return fmt.Errorf("library: archive has no application name")
+		return nil, nil, fmt.Errorf("library: archive has no application name")
 	}
 	t := AppType(arch.Manifest)
-	if err := reg.Add(t); err != nil {
-		return fmt.Errorf("library: registering app %q: %w", arch.Manifest.Name, err)
+	next, err := reg.With(t)
+	if err != nil {
+		return nil, nil, fmt.Errorf("library: registering app %q: %w", arch.Manifest.Name, err)
 	}
-	drivers.RegisterKey(t.Key, AppDriver(arch))
-	return nil
+	return next, drivers.With(t.Key, AppDriver(arch)), nil
 }
 
 // DeployConfig is one point in the Django deployment configuration

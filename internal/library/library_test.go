@@ -167,7 +167,7 @@ func TestAppTypeGeneration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name, err)
 		}
-		if err := RegisterApp(reg, drivers, arch); err != nil {
+		if reg, drivers, err = WithApp(reg, drivers, arch); err != nil {
 			t.Fatalf("%s: %v", a.Name, err)
 		}
 	}
@@ -208,7 +208,7 @@ func TestTableOneDeployability(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name, err)
 		}
-		if err := RegisterApp(reg, drivers, arch); err != nil {
+		if reg, drivers, err = WithApp(reg, drivers, arch); err != nil {
 			t.Fatalf("%s: %v", a.Name, err)
 		}
 		cfg := defaultCfg
@@ -257,7 +257,7 @@ func TestWebAppCronAndPackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RegisterApp(reg, drivers, arch); err != nil {
+	if reg, drivers, err = WithApp(reg, drivers, arch); err != nil {
 		t.Fatal(err)
 	}
 	cfg := DeployConfig{
@@ -315,7 +315,7 @@ func TestPostgresAsDjangoDatabase(t *testing.T) {
 		t.Fatal(err)
 	}
 	arch.Manifest.DatabaseEngine = ""
-	if err := RegisterApp(reg, drivers, arch); err != nil {
+	if reg, drivers, err = WithApp(reg, drivers, arch); err != nil {
 		t.Fatal(err)
 	}
 	cfg := DeployConfig{
@@ -401,7 +401,7 @@ func TestConfigSpaceSample(t *testing.T) {
 			t.Fatal(err)
 		}
 		drivers := Drivers()
-		if err := RegisterApp(reg, drivers, arch); err != nil {
+		if reg, drivers, err = WithApp(reg, drivers, arch); err != nil {
 			t.Fatal(err)
 		}
 		full, err := config.New(reg).Configure(cfg.Partial(arch.Manifest))
@@ -443,7 +443,7 @@ func TestWebAppProductionPartialShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	drivers := Drivers()
-	if err := RegisterApp(reg, drivers, arch); err != nil {
+	if reg, drivers, err = WithApp(reg, drivers, arch); err != nil {
 		t.Fatal(err)
 	}
 	full, err := config.New(reg).Configure(partial)

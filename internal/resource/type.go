@@ -2,6 +2,7 @@ package resource
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"time"
@@ -315,6 +316,27 @@ func (r *Registry) Add(t *Type) error {
 	}
 	r.types[t.Key] = t
 	return nil
+}
+
+// With returns a new registry holding r's types and then ts, added in
+// order as by Add. r itself is never changed, so readers sharing it stay
+// safe while a successor is built: the copy-on-write step a resident
+// library takes when a package joins it.
+func (r *Registry) With(ts ...*Type) (*Registry, error) {
+	out := &Registry{
+		types:    maps.Clone(r.types),
+		children: make(map[Key][]Key, len(r.children)),
+	}
+	for k, kids := range r.children {
+		// Capped, so Add's append copies instead of writing into r's array.
+		out.children[k] = kids[:len(kids):len(kids)]
+	}
+	for _, t := range ts {
+		if err := out.Add(t); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // flattenInheritance copies parent ports and dependencies into child,

@@ -1,6 +1,7 @@
 package resource
 
 import (
+	"fmt"
 	"testing"
 
 	"engage/internal/version"
@@ -179,6 +180,48 @@ func TestRegistryAddErrors(t *testing.T) {
 	}
 	if err := reg.Add(&Type{Key: MakeKey("Y", "1"), Extends: &Key{Name: "Missing"}}); err == nil {
 		t.Error("unknown parent should fail")
+	}
+}
+
+// TestRegistryWithCopiesOnWrite: With builds a successor and leaves the
+// registry it came from as it was — its types, keys and subclassing
+// tree — even when the successor extends a parent whose children slice
+// has spare capacity.
+func TestRegistryWithCopiesOnWrite(t *testing.T) {
+	reg := NewRegistry()
+	base := &Type{Key: MakeKey("Base", ""), Abstract: true}
+	if err := reg.Add(base); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"1", "2", "3"} {
+		if err := reg.Add(&Type{Key: MakeKey("Kid", v), Extends: &Key{Name: "Base"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := fmt.Sprint(reg.Keys(), reg.Children(base.Key))
+
+	next, err := reg.With(&Type{Key: MakeKey("Kid", "4"), Extends: &Key{Name: "Base"}}, &Type{Key: MakeKey("Other", "1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := reg.With(&Type{Key: MakeKey("Kid", "5"), Extends: &Key{Name: "Base"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := fmt.Sprint(reg.Keys(), reg.Children(base.Key)); after != before {
+		t.Errorf("With changed its receiver:\nbefore %s\nafter  %s", before, after)
+	}
+	if got := fmt.Sprint(next.Children(base.Key)); got != "[Kid 1 Kid 2 Kid 3 Kid 4]" {
+		t.Errorf("successor children = %s", got)
+	}
+	if got := fmt.Sprint(other.Children(base.Key)); got != "[Kid 1 Kid 2 Kid 3 Kid 5]" {
+		t.Errorf("sibling successor children = %s (shares an array with the first?)", got)
+	}
+	if next.Len() != reg.Len()+2 {
+		t.Errorf("successor holds %d types, want %d", next.Len(), reg.Len()+2)
+	}
+	if _, err := reg.With(&Type{Key: MakeKey("Kid", "1")}); err == nil {
+		t.Error("With of a registered key should fail")
 	}
 }
 

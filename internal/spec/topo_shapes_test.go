@@ -73,7 +73,7 @@ func TestTopoOrderMatchesOracleOnConfiguredSpecs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
-		if err := library.RegisterApp(reg, library.Drivers(), arch); err != nil {
+		if reg, _, err = library.WithApp(reg, library.Drivers(), arch); err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
 		cfg := library.DeployConfig{

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"path"
 	"sort"
 	"strings"
 
@@ -235,7 +236,7 @@ func (a *Applied) ReapplyConfigured(full *spec.Full) error {
 	}
 	if res.RolledBack {
 		a.Dep = newDep
-		return fmt.Errorf("stack %q: apply rolled back: %v", a.Stack.Name, res.Cause)
+		return fmt.Errorf("stack %q: apply rolled back: %w", a.Stack.Name, res.Cause)
 	}
 	a.Dep = newDep
 	a.Stack.Desired = full
@@ -253,6 +254,30 @@ func (a *Applied) ReapplyConfigured(full *spec.Full) error {
 	a.Monitor.Health = a.Health
 	a.Monitor.AutoRegister()
 	return a.RecordBindings()
+}
+
+// Remove deletes the stack from its world (§5.2): every instance is
+// shut down and then uninstalled in reverse dependency order, the
+// stack's config manifests are deleted from its machines, and its
+// health and monitor tracking is forgotten. The Applied is spent after
+// a successful Remove.
+func (a *Applied) Remove() error {
+	if err := a.Dep.Uninstall(); err != nil {
+		return err
+	}
+	dir := path.Dir(ManifestPath(a.Stack.Name, ""))
+	for _, b := range a.Stack.Bindings {
+		if m, ok := a.ctl.Options.World.Machine(b.Machine); ok {
+			m.RemoveTree(dir)
+		}
+	}
+	if a.Health != nil {
+		for _, id := range a.Health.Tracked() {
+			a.Health.Forget(id)
+		}
+	}
+	a.Monitor = monitor.New(a.Dep)
+	return nil
 }
 
 // RecordBindings re-observes the live world and rewrites the record's

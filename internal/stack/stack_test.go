@@ -114,6 +114,34 @@ func TestApplyRecordsBindings(t *testing.T) {
 	}
 }
 
+// TestDeleteRemovesStack: Remove takes every instance to uninstalled,
+// stops the daemons, deletes the stack's manifests and forgets its
+// health tracking.
+func TestDeleteRemovesStack(t *testing.T) {
+	_, a, w := setupStack(t)
+	if err := a.Remove(); err != nil {
+		t.Fatal(err)
+	}
+	for id, st := range a.Dep.Status() {
+		if st != driver.Uninstalled {
+			t.Errorf("%s state after Remove = %s, want uninstalled", id, st)
+		}
+	}
+	m, _ := w.Machine("server")
+	if procs := m.Processes(); len(procs) != 0 {
+		t.Errorf("daemons left running: %v", procs)
+	}
+	if files := m.List("/etc/engage/stacks/web"); len(files) != 0 {
+		t.Errorf("manifests left: %v", files)
+	}
+	if tracked := a.Health.Tracked(); len(tracked) != 0 {
+		t.Errorf("health still tracks %v", tracked)
+	}
+	if watched := a.Monitor.Watched(); len(watched) != 0 {
+		t.Errorf("monitor still watches %v", watched)
+	}
+}
+
 func TestStackJSONRoundTrip(t *testing.T) {
 	_, a, _ := setupStack(t)
 	var buf bytes.Buffer
