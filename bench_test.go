@@ -28,7 +28,6 @@ import (
 	"engage/internal/sat"
 	"engage/internal/spec"
 	"engage/internal/stack"
-	"engage/internal/upgrade"
 	"engage/internal/workload"
 )
 
@@ -331,79 +330,6 @@ func BenchmarkE8_WebAppExpansion(b *testing.B) {
 		len(partial.Instances), pl, len(full.Instances), fl)
 }
 
-// --- E9: §6.2 upgrades with rollback ---
-// One iteration: deploy FA v1, upgrade to v2 (succeeds), then attempt a
-// failing upgrade and roll back.
-
-func BenchmarkE9_Upgrade(b *testing.B) {
-	fa := appByName(b, "fa")
-	var upTime time.Duration
-	var rolledBack bool
-	for i := 0; i < b.N; i++ {
-		sys := mustSystem(b)
-		archV1, err := sys.PackageApp(fa)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.RegisterApp(archV1); err != nil {
-			b.Fatal(err)
-		}
-		faV2 := fa
-		faV2.Version = "2.0"
-		archV2, err := sys.PackageApp(faV2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.RegisterApp(archV2); err != nil {
-			b.Fatal(err)
-		}
-		cfg := DeployConfig{
-			OS:        ParseKey("Ubuntu 12.04"),
-			WebServer: ParseKey("Gunicorn 0.13"),
-			Database:  ParseKey("MySQL 5.1"),
-		}
-		oldFull, err := sys.Configure(DjangoPartial(cfg, archV1.Manifest))
-		if err != nil {
-			b.Fatal(err)
-		}
-		oldDep, err := sys.Deploy(oldFull)
-		if err != nil {
-			b.Fatal(err)
-		}
-		newFull, err := sys.Configure(DjangoPartial(cfg, archV2.Manifest))
-		if err != nil {
-			b.Fatal(err)
-		}
-		newDep, res, err := sys.Upgrade(oldDep, oldFull, newFull)
-		if err != nil || res.RolledBack {
-			b.Fatalf("upgrade failed: %v %v", err, res.Cause)
-		}
-		upTime = res.Elapsed
-
-		// Failing upgrade: squat Redis's port, upgrade to +Redis config.
-		m, _ := sys.World.Machine("server")
-		if _, err := m.StartProcess("squatter", "nc", 6379); err != nil {
-			b.Fatal(err)
-		}
-		cfgR := cfg
-		cfgR.Redis = true
-		redisFull, err := sys.Configure(DjangoPartial(cfgR, archV2.Manifest))
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, res2, err := sys.Upgrade(newDep, newFull, redisFull)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rolledBack = res2.RolledBack
-	}
-	b.ReportMetric(upTime.Seconds(), "sim-upgrade-seconds")
-	if !rolledBack {
-		b.Fatal("failing upgrade must roll back")
-	}
-	b.Logf("E9 rows: v1→v2 upgrade preserved content in %v; injected failure rolled back to prior version", upTime)
-}
-
 // --- E10: the spec-compaction claim across all case studies ---
 // "usually over an order of magnitude smaller".
 
@@ -647,82 +573,6 @@ func BenchmarkA4_MultiHost(b *testing.B) {
 	}
 }
 
-// --- A5: full-redeploy vs incremental upgrade (the paper's future work) ---
-// Only the application changes between versions; the incremental
-// strategy leaves the database, web server, and runtimes running.
-
-func BenchmarkA5_UpgradeStrategies(b *testing.B) {
-	prepare := func(b *testing.B) (*System, *Deployment, *Full, *Full) {
-		b.Helper()
-		sys := mustSystem(b)
-		sys.Cache = nil
-		fa := appByName(b, "fa")
-		archV1, err := sys.PackageApp(fa)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.RegisterApp(archV1); err != nil {
-			b.Fatal(err)
-		}
-		faV2 := fa
-		faV2.Version = "2.0"
-		archV2, err := sys.PackageApp(faV2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.RegisterApp(archV2); err != nil {
-			b.Fatal(err)
-		}
-		cfg := DeployConfig{
-			OS:        ParseKey("Ubuntu 12.04"),
-			WebServer: ParseKey("Gunicorn 0.13"),
-			Database:  ParseKey("MySQL 5.1"),
-			Memcached: true, Monit: true,
-		}
-		oldFull, err := sys.Configure(DjangoPartial(cfg, archV1.Manifest))
-		if err != nil {
-			b.Fatal(err)
-		}
-		newFull, err := sys.Configure(DjangoPartial(cfg, archV2.Manifest))
-		if err != nil {
-			b.Fatal(err)
-		}
-		oldDep, err := sys.Deploy(oldFull)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return sys, oldDep, oldFull, newFull
-	}
-
-	var fullTime, incrTime time.Duration
-	b.Run("full-redeploy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sys, oldDep, oldFull, newFull := prepare(b)
-			_, res, err := sys.Upgrade(oldDep, oldFull, newFull)
-			if err != nil || res.RolledBack {
-				b.Fatalf("upgrade failed: %v %v", err, res.Cause)
-			}
-			fullTime = res.Elapsed
-		}
-		b.ReportMetric(fullTime.Seconds(), "sim-seconds")
-	})
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sys, oldDep, oldFull, newFull := prepare(b)
-			_, res, err := sys.UpgradeIncremental(oldDep, oldFull, newFull)
-			if err != nil || res.RolledBack {
-				b.Fatalf("upgrade failed: %v %v", err, res.Cause)
-			}
-			incrTime = res.Elapsed
-		}
-		b.ReportMetric(incrTime.Seconds(), "sim-seconds")
-	})
-	if fullTime > 0 && incrTime > 0 {
-		b.Logf("A5 rows: full-redeploy=%v incremental=%v speedup=%.1fx (paper: 'all upgrades experience the worst case upgrade time' — fixed)",
-			fullTime, incrTime, float64(fullTime)/float64(incrTime))
-	}
-}
-
 // --- sanity: virtual time and specs referenced above stay consistent ---
 
 func BenchmarkSpecRenderThroughput(b *testing.B) {
@@ -740,7 +590,6 @@ func BenchmarkSpecRenderThroughput(b *testing.B) {
 }
 
 var _ = machine.NewWorld // keep import for helper use in future benches
-var _ = upgrade.Compute
 var _ = packager.Validate
 
 // rdlResolve parses one RDL source into a registry (bench helper).
