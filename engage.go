@@ -48,7 +48,6 @@ import (
 	"engage/internal/stack"
 	"engage/internal/telemetry"
 	"engage/internal/typecheck"
-	"engage/internal/upgrade"
 )
 
 // Re-exported core types, so typical callers need only this package.
@@ -84,7 +83,7 @@ type (
 	// DeployConfig is one point of the §6.2 configuration space.
 	DeployConfig = library.DeployConfig
 	// UpgradeResult reports an upgrade's diff, rollback state and cause.
-	UpgradeResult = upgrade.Result
+	UpgradeResult = stack.UpgradeResult
 	// FaultPlan is a seeded, reproducible schedule of injectable
 	// failures (see InjectFaults).
 	FaultPlan = fault.Plan
@@ -395,8 +394,7 @@ func (s *System) Monitor(d *Deployment) *Monitor {
 // redeployed — the paper's baseline strategy, which "experiences the
 // worst case upgrade time".
 func (s *System) Upgrade(old *Deployment, oldSpec, newSpec *Full) (*Deployment, *UpgradeResult, error) {
-	u := &upgrade.Upgrader{Options: s.options()}
-	return u.Upgrade(old, oldSpec, newSpec)
+	return stack.Upgrade(s.options(), old, oldSpec, newSpec)
 }
 
 // UpgradeIncremental is the optimized upgrade strategy the paper leaves
@@ -405,8 +403,7 @@ func (s *System) Upgrade(old *Deployment, oldSpec, newSpec *Full) (*Deployment, 
 // is adopted by the new deployment. Failures still roll the whole
 // system back from backup.
 func (s *System) UpgradeIncremental(old *Deployment, oldSpec, newSpec *Full) (*Deployment, *UpgradeResult, error) {
-	u := &upgrade.Upgrader{Options: s.options()}
-	return u.UpgradeIncremental(old, oldSpec, newSpec)
+	return stack.UpgradeIncremental(s.options(), old, oldSpec, newSpec)
 }
 
 // ApplyStack configures and deploys a partial specification as a named

@@ -256,8 +256,8 @@ func (d *Deployment) Status() map[string]driver.State {
 	return out
 }
 
-// Driver exposes an instance's driver; the monitor and upgrade
-// frameworks use it.
+// Driver exposes an instance's driver; the monitor and the stack use
+// it.
 func (d *Deployment) Driver(id string) (*driver.Driver, bool) {
 	drv, ok := d.drivers[id]
 	return drv, ok
@@ -497,74 +497,71 @@ func (d *Deployment) advanceClock() {
 // "shutting down an application goes in the reverse dependency order"),
 // bringing each driver to inactive.
 func (d *Deployment) Shutdown() error {
-	clock0 := d.opts.World.Clock.Now()
-	root := d.opts.Tracer.Span("deploy.shutdown")
-	var total time.Duration
-	for i := len(d.order) - 1; i >= 0; i-- {
-		inst := d.order[i]
-		drv := d.drivers[inst.ID]
-		if drv.State() != driver.Active {
-			continue
-		}
-		sink := &costSink{}
-		if err := d.driveTo(inst.ID, driver.Inactive, sink, clock0.Add(total), root); err != nil {
-			if root != nil {
-				root.Str("error", err.Error()).At(clock0, clock0.Add(total+sink.d)).End()
-			}
-			return err
-		}
-		total += sink.d
-	}
-	d.elapsed = total
-	d.advanceClock()
-	if root != nil {
-		root.At(clock0, clock0.Add(total)).End()
+	if err := d.walk(d.opts.Tracer.Span("deploy.shutdown"), nil, driver.Inactive); err != nil {
+		return err
 	}
 	return d.runPlugins("after-shutdown", func(p Plugin) error { return p.AfterShutdown(d) })
 }
 
 // Uninstall tears the deployment down completely (reverse order, to the
-// uninstalled state); the upgrade framework uses it for components that
-// cannot be upgraded in place.
+// uninstalled state).
 func (d *Deployment) Uninstall() error {
+	return d.walk(d.opts.Tracer.Span("deploy.uninstall"), nil, driver.Uninstalled)
+}
+
+// Walk drives the instances in ids (nil: every instance) to target, one
+// at a time, traced as a "deploy.walk" child of parent (a nil parent
+// traces nothing). It is the one serial walk behind Shutdown, Uninstall,
+// upgrades and repairs: up (active) in dependency order, down in
+// reverse dependency order. Going down stops only active instances,
+// and uninstalling stops every active one of ids first, since a stop
+// guard (↓inactive) needs its dependents inactive. Actions run through
+// driveTo; the world clock advances by their cost, also when one fails,
+// which ends the walk.
+func (d *Deployment) Walk(ids map[string]bool, target driver.State, parent *telemetry.Span) error {
+	return d.walk(parent.Child("deploy.walk").Str("target", string(target)), ids, target)
+}
+
+// walk is Walk under an opened span, which it ends.
+func (d *Deployment) walk(sp *telemetry.Span, ids map[string]bool, target driver.State) error {
 	clock0 := d.opts.World.Clock.Now()
-	root := d.opts.Tracer.Span("deploy.uninstall")
 	var total time.Duration
-	fail := func(err error, spent time.Duration) error {
-		if root != nil {
-			root.Str("error", err.Error()).At(clock0, clock0.Add(spent)).End()
+	pass := func(to driver.State) error {
+		for i := range d.order {
+			inst := d.order[i]
+			if to != driver.Active {
+				inst = d.order[len(d.order)-1-i]
+			}
+			if ids != nil && !ids[inst.ID] {
+				continue
+			}
+			st := d.drivers[inst.ID].State()
+			if st == to || to == driver.Inactive && st != driver.Active {
+				continue
+			}
+			sink := &costSink{}
+			err := d.driveTo(inst.ID, to, sink, clock0.Add(total), sp)
+			total += sink.d
+			if err != nil {
+				return err
+			}
 		}
-		return err
+		return nil
 	}
-	// Pass 1: stop everything in reverse order (the ↓inactive stop
-	// guards require downstream instances to be exactly inactive, so
-	// nothing may be uninstalled while a dependency is still active).
-	for i := len(d.order) - 1; i >= 0; i-- {
-		inst := d.order[i]
-		if d.drivers[inst.ID].State() != driver.Active {
-			continue
-		}
-		sink := &costSink{}
-		if err := d.driveTo(inst.ID, driver.Inactive, sink, clock0.Add(total), root); err != nil {
-			return fail(err, total+sink.d)
-		}
-		total += sink.d
+	var err error
+	if target == driver.Uninstalled {
+		err = pass(driver.Inactive)
 	}
-	// Pass 2: uninstall in reverse order.
-	for i := len(d.order) - 1; i >= 0; i-- {
-		inst := d.order[i]
-		sink := &costSink{}
-		if err := d.driveTo(inst.ID, driver.Uninstalled, sink, clock0.Add(total), root); err != nil {
-			return fail(err, total+sink.d)
-		}
-		total += sink.d
+	if err == nil {
+		err = pass(target)
 	}
 	d.elapsed = total
 	d.advanceClock()
-	if root != nil {
-		root.At(clock0, clock0.Add(total)).End()
+	if err != nil {
+		sp.Str("error", err.Error())
 	}
-	return nil
+	sp.At(clock0, clock0.Add(total)).End()
+	return err
 }
 
 // PlannedAction is one step of a dry-run plan.
@@ -603,10 +600,9 @@ func (d *Deployment) Plan() []PlannedAction {
 
 // Adopt marks instances of this (not yet deployed) deployment as
 // already running, transferring their driver state and runtime scratch
-// (daemon PIDs) from a previous deployment. The incremental upgrade
-// strategy uses it to leave unaffected components untouched: a
-// subsequent Deploy finds their drivers already active and fires no
-// actions for them.
+// (daemon PIDs) from a previous deployment. An incremental change uses
+// it to leave unaffected components untouched: a subsequent Deploy
+// finds their drivers already active and fires no actions for them.
 func (d *Deployment) Adopt(prev *Deployment, ids []string) error {
 	for _, id := range ids {
 		newDrv, ok := d.drivers[id]

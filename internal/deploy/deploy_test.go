@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"engage/internal/pkgmgr"
 	"engage/internal/resource"
 	"engage/internal/spec"
+	"engage/internal/telemetry"
 	"engage/internal/testlib"
 )
 
@@ -323,6 +325,89 @@ func TestUninstall(t *testing.T) {
 	m, _ := w.Machine("server")
 	if m.Exists("/opt/openmrs/installed") {
 		t.Error("uninstall should remove package files")
+	}
+}
+
+// TestWalkCone walks the cone of tomcat (tomcat and openmrs, which
+// runs inside it) down and back up: stops in reverse dependency order,
+// uninstalls only after every stop, reinstalls in dependency order, and
+// leaves everything outside the cone running. Each walk is a
+// "deploy.walk" span under the caller's span, with its actions as
+// children, and the clock advances by the actions' cost.
+func TestWalkCone(t *testing.T) {
+	log := &eventLog{}
+	d, w := newDeployment(t, log, false)
+	if err := d.Deploy(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	d.opts.Tracer = telemetry.New(&buf, w.Clock)
+	parent := d.opts.Tracer.Span("change")
+	cone := map[string]bool{"tomcat": true, "openmrs": true}
+
+	log.events = nil
+	if err := d.Walk(cone, driver.Uninstalled, parent); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"stop:openmrs", "stop:tomcat", "uninstall:openmrs", "uninstall:tomcat"}
+	if got := log.list(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("down walk = %v, want %v", got, want)
+	}
+	for id, st := range d.Status() {
+		want := driver.Active
+		if cone[id] {
+			want = driver.Uninstalled
+		}
+		if st != want {
+			t.Errorf("%s = %s, want %s", id, st, want)
+		}
+	}
+
+	log.events = nil
+	t0 := w.Clock.Now()
+	if err := d.Walk(cone, driver.Active, parent); err != nil {
+		t.Fatal(err)
+	}
+	want = []string{"install:tomcat", "start:tomcat", "install:openmrs", "start:openmrs"}
+	if got := log.list(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("up walk = %v, want %v", got, want)
+	}
+	// Downloads, installs and start-ups, one after the other.
+	if got, want := w.Clock.Now().Sub(t0), 3*time.Minute+time.Minute+20*time.Second+4*time.Minute+90*time.Second+30*time.Second; got != want || d.Elapsed() != want {
+		t.Errorf("up walk took %v (Elapsed %v), want %v", got, d.Elapsed(), want)
+	}
+	if !d.Deployed() {
+		t.Errorf("status after the up walk: %v", d.Status())
+	}
+
+	// An empty set walks nothing.
+	log.events = nil
+	if err := d.Walk(map[string]bool{}, driver.Inactive, parent); err != nil || len(log.list()) != 0 {
+		t.Errorf("empty walk: %v, %v", err, log.list())
+	}
+
+	parent.End()
+	trace, err := telemetry.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walks := trace.Spans("deploy.walk")
+	if len(walks) != 3 {
+		t.Fatalf("%d deploy.walk spans, want 3", len(walks))
+	}
+	actions := 0
+	for _, ws := range walks {
+		if ws.Parent != parent.ID() {
+			t.Errorf("walk span %d has parent %d, want %d", ws.ID, ws.Parent, parent.ID())
+		}
+		for _, ch := range trace.ChildSpans(ws.ID) {
+			if ch.Name == "deploy.action" {
+				actions++
+			}
+		}
+	}
+	if actions != 8 {
+		t.Errorf("%d deploy.action spans under the walks, want 8", actions)
 	}
 }
 

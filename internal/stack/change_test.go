@@ -1,7 +1,8 @@
-package upgrade
+package stack
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -51,9 +52,11 @@ type faFixture struct {
 	drivers *deploy.DriverRegistry
 	// failV2 makes the FA 2.0 install action fail (error injection).
 	failV2 bool
+	// failStops makes that many database stops fail.
+	failStops int
 }
 
-func newFixture(t *testing.T) *faFixture {
+func newFAFixture(t *testing.T) *faFixture {
 	t.Helper()
 	reg, err := rdl.ParseAndResolve(map[string]string{"fa.rdl": faRDL})
 	if err != nil {
@@ -82,6 +85,10 @@ func newFixture(t *testing.T) *faFixture {
 				return nil
 			},
 			func(c *driver.Context) error { // stop
+				if f.failStops > 0 {
+					f.failStops--
+					return fmt.Errorf("injected stop failure")
+				}
 				pid, _ := c.PID("daemon")
 				return c.Machine.StopProcess(pid)
 			},
@@ -178,29 +185,12 @@ func (f *faFixture) deployV1(t *testing.T) (*deploy.Deployment, *spec.Full) {
 	return d, oldSpec
 }
 
-func TestComputeDiff(t *testing.T) {
-	f := newFixture(t)
-	oldSpec := f.fullSpec(t, "1.0")
-	newSpec := f.fullSpec(t, "2.0")
-	d := Compute(oldSpec, newSpec)
-	if len(d.Changed) != 1 || d.Changed[0] != "fa" {
-		t.Errorf("Changed = %v", d.Changed)
-	}
-	if len(d.Kept) != 2 {
-		t.Errorf("Kept = %v", d.Kept)
-	}
-	if len(d.Added) != 0 || len(d.Removed) != 0 {
-		t.Errorf("Added/Removed = %v/%v", d.Added, d.Removed)
-	}
-}
-
 func TestUpgradePreservesContent(t *testing.T) {
-	f := newFixture(t)
+	f := newFAFixture(t)
 	old, oldSpec := f.deployV1(t)
 	newSpec := f.fullSpec(t, "2.0")
 
-	u := &Upgrader{Options: f.opts()}
-	newDep, res, err := u.Upgrade(old, oldSpec, newSpec)
+	newDep, res, err := Upgrade(f.opts(), old, oldSpec, newSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,13 +221,12 @@ func TestUpgradePreservesContent(t *testing.T) {
 }
 
 func TestUpgradeRollbackOnFailure(t *testing.T) {
-	f := newFixture(t)
+	f := newFAFixture(t)
 	old, oldSpec := f.deployV1(t)
 	newSpec := f.fullSpec(t, "2.0")
 	f.failV2 = true // inject the paper's "introduce an error in the second application version"
 
-	u := &Upgrader{Options: f.opts()}
-	restored, res, err := u.Upgrade(old, oldSpec, newSpec)
+	restored, res, err := Upgrade(f.opts(), old, oldSpec, newSpec)
 	if err != nil {
 		t.Fatalf("rollback itself failed: %v", err)
 	}
@@ -270,9 +259,43 @@ func TestUpgradeRollbackOnFailure(t *testing.T) {
 	}
 }
 
+// TestUpgradeRollsBackWhenStopFails: a stop that fails while the old
+// system goes down is a failure like any other, so the upgrade rolls
+// back and the old system runs again.
+func TestUpgradeRollsBackWhenStopFails(t *testing.T) {
+	f := newFAFixture(t)
+	old, oldSpec := f.deployV1(t)
+	newSpec := f.fullSpec(t, "2.0")
+	f.failStops = 1
+
+	restored, res, err := Upgrade(f.opts(), old, oldSpec, newSpec)
+	if err != nil {
+		t.Fatalf("rollback itself failed: %v", err)
+	}
+	if !res.RolledBack {
+		t.Fatal("expected rollback")
+	}
+	if res.Cause == nil || !strings.Contains(res.Cause.Error(), "injected stop failure") {
+		t.Errorf("cause = %v", res.Cause)
+	}
+	if !restored.Deployed() {
+		t.Fatalf("old system should be active again: %v", restored.Status())
+	}
+	m, _ := f.world.Machine("server")
+	if v, _ := m.ReadFile("/opt/fa/version"); v != "1.0" {
+		t.Errorf("version = %q", v)
+	}
+	if rows := migrate.Open(m, dbRoot).Rows("applications"); len(rows) != 2 || rows[0] != "alice|faculty" {
+		t.Errorf("content after rollback: %v", rows)
+	}
+	if !m.Listening(5432) {
+		t.Error("database should be listening after rollback")
+	}
+}
+
 func TestUpgradeAddsAndRemoves(t *testing.T) {
 	// Removing the fa instance entirely (downgrade to just the DB).
-	f := newFixture(t)
+	f := newFAFixture(t)
 	old, oldSpec := f.deployV1(t)
 
 	var p spec.Partial
@@ -283,8 +306,7 @@ func TestUpgradeAddsAndRemoves(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	u := &Upgrader{Options: f.opts()}
-	newDep, res, err := u.Upgrade(old, oldSpec, newSpec)
+	newDep, res, err := Upgrade(f.opts(), old, oldSpec, newSpec)
 	if err != nil || res.RolledBack {
 		t.Fatalf("upgrade failed: %v / %+v", err, res)
 	}
@@ -297,5 +319,182 @@ func TestUpgradeAddsAndRemoves(t *testing.T) {
 	}
 	if !newDep.Deployed() {
 		t.Error("remaining system should be deployed")
+	}
+}
+
+func TestPlanChangeAppOnly(t *testing.T) {
+	f := newFAFixture(t)
+	oldSpec := f.fullSpec(t, "1.0")
+	newSpec := f.fullSpec(t, "2.0")
+	p := planChange(oldSpec, newSpec, false)
+
+	if len(p.diff.Changed) != 1 || p.diff.Changed[0] != "fa" {
+		t.Errorf("Changed = %v", p.diff.Changed)
+	}
+	// fa has no dependents, so the cones are just {fa}.
+	if !reflect.DeepEqual(p.stop, map[string]bool{"fa": true}) {
+		t.Errorf("stop = %v", p.stop)
+	}
+	if up := newSpec.Cone(p.diff.Changed); !reflect.DeepEqual(up, map[string]bool{"fa": true}) {
+		t.Errorf("new cone = %v", up)
+	}
+	// server and db keep running.
+	if !reflect.DeepEqual(p.adopt, []string{"db", "server"}) {
+		t.Errorf("adopt = %v", p.adopt)
+	}
+	// The whole plan stops everything and adopts nothing.
+	if w := planChange(oldSpec, newSpec, true); w.stop != nil || w.adopt != nil || !reflect.DeepEqual(w.diff, p.diff) {
+		t.Errorf("whole plan = %+v", w)
+	}
+}
+
+func TestPlanChangeReconfigured(t *testing.T) {
+	f := newFAFixture(t)
+	oldSpec := f.fullSpec(t, "1.0")
+	newSpec := f.fullSpec(t, "1.0")
+	// Change the database's port: db is reconfigured; its dependent fa
+	// joins the cone.
+	db := newSpec.MustFind("db")
+	db.Config["port"] = resource.PortV(5433)
+	p := planChange(oldSpec, newSpec, false)
+	if len(p.diff.Reconfigured) != 1 || p.diff.Reconfigured[0] != "db" {
+		t.Fatalf("Reconfigured = %v", p.diff.Reconfigured)
+	}
+	if !reflect.DeepEqual(p.stop, map[string]bool{"db": true, "fa": true}) {
+		t.Fatalf("stop = %v", p.stop)
+	}
+	if len(p.adopt) != 1 || p.adopt[0] != "server" {
+		t.Errorf("adopt = %v", p.adopt)
+	}
+}
+
+func TestUpgradeIncrementalLeavesDatabaseRunning(t *testing.T) {
+	f := newFAFixture(t)
+	old, oldSpec := f.deployV1(t)
+	newSpec := f.fullSpec(t, "2.0")
+
+	m, _ := f.world.Machine("server")
+	dbProcBefore, ok := m.FindProcess("fadb")
+	if !ok {
+		t.Fatal("database daemon should be running")
+	}
+
+	newDep, res, err := UpgradeIncremental(f.opts(), old, oldSpec, newSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RolledBack {
+		t.Fatalf("unexpected rollback: %v", res.Cause)
+	}
+	if !newDep.Deployed() {
+		t.Fatalf("status: %v", newDep.Status())
+	}
+
+	// The database daemon was never restarted: same PID.
+	dbProcAfter, ok := m.FindProcess("fadb")
+	if !ok {
+		t.Fatal("database daemon should still be running")
+	}
+	if dbProcAfter.PID != dbProcBefore.PID {
+		t.Errorf("incremental upgrade must not restart the database: pid %d → %d",
+			dbProcBefore.PID, dbProcAfter.PID)
+	}
+
+	// The app was upgraded and the migration ran.
+	v, err := m.ReadFile("/opt/fa/version")
+	if err != nil || v != "2.0" {
+		t.Errorf("version = %q, %v", v, err)
+	}
+	db := migrate.Open(m, dbRoot)
+	sv, _ := db.SchemaVersion()
+	if sv != 2 {
+		t.Errorf("schema = %d", sv)
+	}
+	rows := db.Rows("applications")
+	if len(rows) != 2 || rows[0] != "alice|faculty|pending" {
+		t.Errorf("content: %v", rows)
+	}
+}
+
+func TestUpgradeIncrementalCheaperThanFull(t *testing.T) {
+	// Same upgrade, both strategies; incremental must consume strictly
+	// less virtual time (ablation A5's assertion).
+	run := func(incremental bool) (elapsed int64) {
+		f := newFAFixture(t)
+		old, oldSpec := f.deployV1(t)
+		newSpec := f.fullSpec(t, "2.0")
+		var res *UpgradeResult
+		var err error
+		if incremental {
+			_, res, err = UpgradeIncremental(f.opts(), old, oldSpec, newSpec)
+		} else {
+			_, res, err = Upgrade(f.opts(), old, oldSpec, newSpec)
+		}
+		if err != nil || res.RolledBack {
+			t.Fatalf("upgrade failed: %v %v", err, res)
+		}
+		return int64(res.Elapsed)
+	}
+	full := run(false)
+	incr := run(true)
+	if incr >= full {
+		t.Errorf("incremental (%d) should beat full (%d)", incr, full)
+	}
+}
+
+func TestUpgradeIncrementalRollback(t *testing.T) {
+	f := newFAFixture(t)
+	old, oldSpec := f.deployV1(t)
+	newSpec := f.fullSpec(t, "2.0")
+	f.failV2 = true
+
+	restored, res, err := UpgradeIncremental(f.opts(), old, oldSpec, newSpec)
+	if err != nil {
+		t.Fatalf("rollback failed: %v", err)
+	}
+	if !res.RolledBack {
+		t.Fatal("expected rollback")
+	}
+	if res.Cause == nil || !strings.Contains(res.Cause.Error(), "injected") {
+		t.Errorf("cause = %v", res.Cause)
+	}
+	if !restored.Deployed() {
+		t.Fatalf("restored system down: %v", restored.Status())
+	}
+	m, _ := f.world.Machine("server")
+	v, _ := m.ReadFile("/opt/fa/version")
+	if v != "1.0" {
+		t.Errorf("rolled-back version = %q", v)
+	}
+	db := migrate.Open(m, dbRoot)
+	rows := db.Rows("applications")
+	if len(rows) != 2 || rows[0] != "alice|faculty" {
+		t.Errorf("content after rollback: %v", rows)
+	}
+	if !m.Listening(5432) {
+		t.Error("database should be listening after rollback")
+	}
+}
+
+func TestUpgradeAdoptedStatesVisible(t *testing.T) {
+	f := newFAFixture(t)
+	old, oldSpec := f.deployV1(t)
+	newSpec := f.fullSpec(t, "2.0")
+	newDep, _, err := UpgradeIncremental(f.opts(), old, oldSpec, newSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, ok := newDep.StateOf("db")
+	if !ok || st != driver.Active {
+		t.Errorf("adopted db state = %v, %v", st, ok)
+	}
+	// Adopted scratch: the db driver in the new deployment can stop the
+	// daemon it never started.
+	if err := newDep.Shutdown(); err != nil {
+		t.Fatalf("shutdown using adopted PIDs: %v", err)
+	}
+	m, _ := f.world.Machine("server")
+	if m.Listening(5432) {
+		t.Error("shutdown should stop the adopted daemon")
 	}
 }

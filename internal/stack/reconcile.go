@@ -19,7 +19,6 @@ import (
 	"engage/internal/fault"
 	"engage/internal/health"
 	"engage/internal/sat"
-	"engage/internal/spec"
 	"engage/internal/telemetry"
 )
 
@@ -108,7 +107,7 @@ func (a *Applied) Reconcile() *RoundReport {
 	// re-establish the desired state inside the cone.
 	sp = root.Child("reconcile.plan")
 	rep.Damaged = damagedIDs(drifts)
-	rep.Cone = union(rep.Damaged, downstreamClosure(a.Stack.Desired, replace))
+	rep.Cone = union(rep.Damaged, a.Stack.Desired.Cone(replace))
 	healthy := subtract(a.Stack.InstanceIDs(), rep.Cone)
 	rep.Pinned = len(healthy)
 	res, err := a.Session.SolvePinned(healthy)
@@ -134,7 +133,7 @@ func (a *Applied) Reconcile() *RoundReport {
 	sp = root.Child("reconcile.repair")
 	snap := deploy.SnapshotWorld(a.ctl.Options.World)
 	states := a.Dep.Status()
-	err = a.repair(drifts, replace, rep.Cone)
+	err = a.repair(sp, drifts, replace, rep.Cone)
 	if err != nil {
 		if rerr := snap.Restore(a.ctl.Options.World); rerr != nil {
 			err = fmt.Errorf("%v (rollback: %v)", err, rerr)
@@ -175,10 +174,10 @@ func (a *Applied) ReconcileUntilConverged(max int) ([]*RoundReport, bool) {
 // the monitor's restart bookkeeping. A monitor-restarted daemon that is
 // healthy again only refreshes the binding (transient restarts are left
 // alone); a crash-looping (degraded) instance escalates to replacement.
-// It returns the drifts and the set of instances needing replacement.
-func (a *Applied) detect(sp *telemetry.Span) ([]Drift, map[string]bool) {
+// It returns the drifts and the instances needing replacement.
+func (a *Applied) detect(sp *telemetry.Span) ([]Drift, []string) {
 	var drifts []Drift
-	replace := make(map[string]bool)
+	var replace []string
 	procState := a.Monitor.Snapshot()
 	add := func(d Drift) {
 		drifts = append(drifts, d)
@@ -191,14 +190,14 @@ func (a *Applied) detect(sp *telemetry.Span) ([]Drift, map[string]bool) {
 		drv, ok := a.Dep.Driver(inst.ID)
 		if !ok {
 			add(Drift{Instance: inst.ID, Kind: "state", Detail: "no driver"})
-			replace[inst.ID] = true
+			replace = append(replace, inst.ID)
 			continue
 		}
 		m := drv.Ctx.Machine
 		if ps, watched := procState[inst.ID]; watched && ps.Degraded {
 			add(Drift{Instance: inst.ID, Kind: "degraded",
 				Detail: fmt.Sprintf("crash-looping: %d restarts in window", ps.RestartsInWindow)})
-			replace[inst.ID] = true
+			replace = append(replace, inst.ID)
 			continue
 		}
 		if a.Health != nil {
@@ -213,14 +212,14 @@ func (a *Applied) detect(sp *telemetry.Span) ([]Drift, map[string]bool) {
 					detail = "probes report unhealthy"
 				}
 				add(Drift{Instance: inst.ID, Kind: "health", Detail: detail})
-				replace[inst.ID] = true
+				replace = append(replace, inst.ID)
 				continue
 			}
 		}
 		if drv.State() != driver.Active {
 			add(Drift{Instance: inst.ID, Kind: "state",
 				Detail: fmt.Sprintf("driver %s, want active", drv.State())})
-			replace[inst.ID] = true
+			replace = append(replace, inst.ID)
 			continue
 		}
 		if b.PID != 0 {
@@ -262,52 +261,38 @@ func (a *Applied) detect(sp *telemetry.Span) ([]Drift, map[string]bool) {
 // and pull their dependent cone down and back up with them; dead or
 // off-port daemons are restarted in place; diverged manifests are
 // rewritten. Nothing outside cone is touched.
-func (a *Applied) repair(drifts []Drift, replace map[string]bool, cone []string) error {
-	replaceCone := downstreamClosure(a.Stack.Desired, replace)
-	order, err := a.Stack.Desired.TopoOrder()
-	if err != nil {
+func (a *Applied) repair(sp *telemetry.Span, drifts []Drift, replace, cone []string) error {
+	down := a.Stack.Desired.Cone(replace)
+	// 1. Stop the replacement cone, dependents first.
+	if err := a.Dep.Walk(down, driver.Inactive, sp); err != nil {
 		return err
 	}
-
-	// 1. Stop the replacement cone, dependents first.
-	for i := len(order) - 1; i >= 0; i-- {
-		inst := order[i]
-		if !replaceCone[inst.ID] {
-			continue
-		}
-		if err := a.driveTo(inst.ID, driver.Inactive); err != nil {
+	// 2. Clear any leftover processes recorded for what is being
+	// replaced, and uninstall it.
+	for _, id := range replace {
+		if err := a.killStray(id); err != nil {
 			return err
 		}
 	}
-	// 2. Uninstall what is being replaced, and clear any leftover
-	// processes recorded for it.
-	for i := len(order) - 1; i >= 0; i-- {
-		inst := order[i]
-		if !replace[inst.ID] {
-			continue
-		}
-		if err := a.killStray(inst.ID); err != nil {
-			return err
-		}
-		if err := a.driveTo(inst.ID, driver.Uninstalled); err != nil {
-			return err
-		}
+	if err := a.Dep.Walk(setOf(replace), driver.Uninstalled, sp); err != nil {
+		return err
 	}
 	// 3. Bring the replacement cone back to active, dependencies first.
-	for _, inst := range order {
-		if !replaceCone[inst.ID] {
-			continue
+	// Whatever came up is no longer degraded, also if the walk failed.
+	err := a.Dep.Walk(down, driver.Active, sp)
+	for id := range down {
+		if st, _ := a.Dep.StateOf(id); st == driver.Active {
+			a.Monitor.ClearDegraded(id)
 		}
-		if err := a.driveTo(inst.ID, driver.Active); err != nil {
-			return err
-		}
-		a.Monitor.ClearDegraded(inst.ID)
+	}
+	if err != nil {
+		return err
 	}
 	// 4. Restart dead/off-port daemons in place (instances not already
 	// handled by replacement).
 	restarted := make(map[string]bool)
 	for _, d := range drifts {
-		if replaceCone[d.Instance] || restarted[d.Instance] {
+		if down[d.Instance] || restarted[d.Instance] {
 			continue
 		}
 		if d.Kind != "process" && d.Kind != "port" {
@@ -328,32 +313,7 @@ func (a *Applied) repair(drifts []Drift, replace map[string]bool, cone []string)
 	// 5. Refresh bindings and rewrite manifests for the cone only
 	// (covers "config" drift and records the new PIDs of restarted
 	// daemons); instances outside the cone see no write at all.
-	coneSet := make(map[string]bool, len(cone))
-	for _, id := range cone {
-		coneSet[id] = true
-	}
-	return a.recordBindings(coneSet)
-}
-
-// driveTo fires the driver's path from its current state to target.
-func (a *Applied) driveTo(id string, target driver.State) error {
-	drv, ok := a.Dep.Driver(id)
-	if !ok {
-		return fmt.Errorf("stack %q: no driver for %q", a.Stack.Name, id)
-	}
-	if drv.State() == target {
-		return nil
-	}
-	path := drv.SM.PathTo(drv.State(), target)
-	if path == nil {
-		return fmt.Errorf("stack %q: instance %q: no path %s → %s", a.Stack.Name, id, drv.State(), target)
-	}
-	for _, action := range path {
-		if err := drv.Fire(action, a.Dep); err != nil {
-			return err
-		}
-	}
-	return nil
+	return a.recordBindings(setOf(cone))
 }
 
 // killStray kills every process still carrying the instance's recorded
@@ -418,27 +378,14 @@ func damagedIDs(drifts []Drift) []string {
 	return out
 }
 
-// downstreamClosure returns seed plus every transitive dependent, as a
-// set (the upgrade package's closure, reimplemented over its exported
-// surface).
-func downstreamClosure(f *spec.Full, seed map[string]bool) map[string]bool {
-	down := f.Downstream()
-	inSet := make(map[string]bool, len(seed))
-	var stack []string
-	for id := range seed {
-		stack = append(stack, id)
+// setOf returns ids as a set; never nil, so a walk over it never
+// means every instance.
+func setOf(ids []string) map[string]bool {
+	set := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		set[id] = true
 	}
-	sort.Strings(stack)
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if inSet[id] {
-			continue
-		}
-		inSet[id] = true
-		stack = append(stack, down[id]...)
-	}
-	return inSet
+	return set
 }
 
 func union(ids []string, set map[string]bool) []string {

@@ -2,6 +2,7 @@
 // named, versioned desired-state record — the resolved full
 // specification, the configured model, and the instance→machine/process
 // bindings observed at apply time — that can be re-applied idempotently
+// through the one changeover of §5.2's upgrade framework (change.go)
 // and, through the Reconciler (reconcile.go), continuously enforced
 // against the live world. The record is JSON round-trippable, following
 // the influxdb pkger "stacks" model of stateful, idempotently
@@ -24,7 +25,6 @@ import (
 	"engage/internal/health"
 	"engage/internal/monitor"
 	"engage/internal/spec"
-	"engage/internal/upgrade"
 )
 
 // Binding records where one desired instance landed in the live world:
@@ -185,27 +185,34 @@ func (c *Controller) ApplyConfigured(name string, full *spec.Full) (*Applied, er
 		Dep:   dep,
 		ctl:   c,
 	}
-	a.Health = health.NewChecker(c.Options.World.Clock)
-	a.Health.Tracer = c.Options.Tracer
-	a.Health.Metrics = c.Options.Metrics
-	a.Monitor = monitor.New(dep)
-	a.Monitor.Tracer = c.Options.Tracer
-	a.Monitor.Metrics = c.Options.Metrics
-	a.Monitor.Health = a.Health
-	a.Monitor.AutoRegister()
+	a.watch()
 	if err := a.RecordBindings(); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
+// watch points a new monitor at the stack's deployment, with every
+// daemon registered and the stack's health checker (made on first use)
+// ticked by its sweeps.
+func (a *Applied) watch() {
+	opts := a.ctl.Options
+	if a.Health == nil {
+		a.Health = health.NewChecker(opts.World.Clock)
+		a.Health.Tracer, a.Health.Metrics = opts.Tracer, opts.Metrics
+	}
+	a.Monitor = monitor.New(a.Dep)
+	a.Monitor.Tracer, a.Monitor.Metrics = opts.Tracer, opts.Metrics
+	a.Monitor.Health = a.Health
+	a.Monitor.AutoRegister()
+}
+
 // Reapply applies a (possibly changed) partial specification to an
 // already-applied stack, idempotently: an identical desired state
 // touches nothing and keeps the version; a changed one goes through the
-// upgrade framework's incremental path — only the affected subgraph is
-// swapped, everything else keeps running — and bumps the version. On
-// upgrade failure the world is restored from backup (the upgrade
-// framework's completes-or-rolls-back contract) and the old record
+// incremental changeover (change.go) — only the cone of what changed
+// is swapped, everything else keeps running — and bumps the version.
+// On failure the world is restored from backup and the old record
 // kept.
 func (a *Applied) Reapply(partial *spec.Partial) error {
 	full, sess, err := a.ctl.engine().ConfigureSession(partial)
@@ -226,33 +233,20 @@ func (a *Applied) Reapply(partial *spec.Partial) error {
 // a.Stack.Desired == full afterwards exactly when the stack switched to
 // the new desired state.
 func (a *Applied) ReapplyConfigured(full *spec.Full) error {
-	c := a.ctl
-	plan := upgrade.PlanIncremental(a.Stack.Desired, full)
-	changed := len(plan.AffectedOld)+len(plan.AffectedNew) > 0
-	u := &upgrade.Upgrader{Options: c.Options}
-	newDep, res, err := u.UpgradeIncremental(a.Dep, a.Stack.Desired, full)
+	p := planChange(a.Stack.Desired, full, false)
+	next, res, err := change(a.ctl.Options, a.Dep, a.Stack.Desired, full, p)
 	if err != nil {
 		return err
 	}
+	a.Dep = next
 	if res.RolledBack {
-		a.Dep = newDep
 		return fmt.Errorf("stack %q: apply rolled back: %w", a.Stack.Name, res.Cause)
 	}
-	a.Dep = newDep
 	a.Stack.Desired = full
-	if changed {
+	if !p.diff.Unchanged() {
 		a.Stack.Version++
 	}
-	a.Monitor = monitor.New(newDep)
-	a.Monitor.Tracer = c.Options.Tracer
-	a.Monitor.Metrics = c.Options.Metrics
-	if a.Health == nil {
-		a.Health = health.NewChecker(c.Options.World.Clock)
-		a.Health.Tracer = c.Options.Tracer
-		a.Health.Metrics = c.Options.Metrics
-	}
-	a.Monitor.Health = a.Health
-	a.Monitor.AutoRegister()
+	a.watch()
 	return a.RecordBindings()
 }
 

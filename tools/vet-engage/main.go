@@ -7,7 +7,7 @@
 // Checks:
 //
 //   - wallclock: the simulator packages (internal/deploy, machine,
-//     monitor, fault, upgrade, health) run on a virtual clock; reading
+//     monitor, fault, stack, health) run on a virtual clock; reading
 //     the wall clock there silently breaks determinism and trace
 //     reproducibility.
 //     Any use of time.Now, time.Sleep, time.Since, time.Until,
@@ -74,7 +74,9 @@ var wallclockDirs = map[string]bool{
 	"internal/machine": true,
 	"internal/monitor": true,
 	"internal/fault":   true,
-	"internal/upgrade": true,
+	// The stack's changeover and reconciler time upgrades and repairs
+	// on the world clock.
+	"internal/stack": true,
 	// The health checker's whole contract is virtual-time probing
 	// (detection bounds are stated in virtual time), so it carries zero
 	// //engage:wallclock annotations by design.
