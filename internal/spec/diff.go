@@ -33,10 +33,9 @@ func Diff(from, to *Full) Delta {
 	for _, inst := range from.Instances {
 		oldByID[inst.ID] = inst
 	}
-	seen := make(map[string]bool, len(to.Instances))
 	for _, inst := range to.Instances {
-		seen[inst.ID] = true
 		prev, ok := oldByID[inst.ID]
+		delete(oldByID, inst.ID)
 		switch {
 		case !ok:
 			d.Added = append(d.Added, inst.ID)
@@ -48,10 +47,8 @@ func Diff(from, to *Full) Delta {
 			d.Kept = append(d.Kept, inst.ID)
 		}
 	}
-	for _, inst := range from.Instances {
-		if !seen[inst.ID] {
-			d.Removed = append(d.Removed, inst.ID)
-		}
+	for id := range oldByID {
+		d.Removed = append(d.Removed, id)
 	}
 	for _, ids := range [][]string{d.Added, d.Removed, d.Changed, d.Reconfigured, d.Kept} {
 		sort.Strings(ids)
