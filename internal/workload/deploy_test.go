@@ -49,7 +49,7 @@ func TestDeployWorldDigest(t *testing.T) {
 	if *updateGolden && testing.Short() {
 		t.Fatal("-update pins every fixture; drop -short")
 	}
-	pinned := readDigests(t)
+	pinned := readDigests(t, deployDigestPath)
 	var got strings.Builder
 	for _, fx := range deployFixtures(t) {
 		executors := []struct {
@@ -83,10 +83,11 @@ func TestDeployWorldDigest(t *testing.T) {
 	}
 }
 
-func readDigests(t *testing.T) map[string]string {
+// readDigests reads a "<digest>  <name>" file written with -update.
+func readDigests(t *testing.T, path string) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
-	raw, err := os.ReadFile(deployDigestPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		if *updateGolden {
 			return out
@@ -96,7 +97,7 @@ func readDigests(t *testing.T) map[string]string {
 	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
 		dg, name, ok := strings.Cut(line, "  ")
 		if !ok {
-			t.Fatalf("%s: malformed line %q", deployDigestPath, line)
+			t.Fatalf("%s: malformed line %q", path, line)
 		}
 		out[name] = dg
 	}

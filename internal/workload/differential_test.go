@@ -56,6 +56,7 @@ func diffFixtures(t *testing.T) []struct {
 		{},                                      // defaults
 		{Families: 4, Versions: 2, Machines: 2}, // tiny
 		{Families: 12, Versions: 4, EnvFanout: 3, PeerFanout: 2, Machines: 6, Instances: 4},
+		{Families: 12, Versions: 3, EnvFanout: 3, PeerFanout: 2, Machines: 24, Instances: 2}, // many machines, peer-heavy
 	}
 	for si, shape := range shapes {
 		for seed := int64(0); seed < 4; seed++ {
