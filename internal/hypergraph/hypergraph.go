@@ -7,8 +7,10 @@
 //
 // Generate is a direct transcription of the paper's worklist algorithm;
 // GenerateOpts with Options.Parallelism ≥ 1 runs the same worklist with
-// its lookups memoised (memo.go), which the differential suite in
-// internal/workload proves byte-identical to Generate.
+// its lookups memoised and a same-machine query scanning only that
+// machine's nodes (memo.go), so its cost grows with the fleet instead
+// of with its square; the differential suite in internal/workload
+// proves it byte-identical to Generate.
 package hypergraph
 
 import (

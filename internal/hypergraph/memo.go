@@ -16,12 +16,12 @@ type Options struct {
 // GenerateOpts is Generate with the resolver selected by opts. Both
 // resolvers answer ≤RT through one resource.Subtyper for the run. At
 // Parallelism ≥ 1 the other lookups are memoised too: concrete frontiers
-// (frontierMemo) and first-match resolution (matchCache, which remembers
-// the first two matches per (key, machine) and resumes its scan instead
-// of rescanning the node list per query). The result is byte-identical
-// to Generate (same node order, edge order, IDs, and errors) for every
-// Parallelism value; the differential suite in internal/workload
-// enforces this.
+// (frontierMemo) and first-match resolution (matchCache, which indexes
+// nodes by machine and remembers the first two matches per (key,
+// machine), resuming its scan instead of rescanning the node list per
+// query). The result is byte-identical to Generate (same node order,
+// edge order, IDs, and errors) for every Parallelism value; the
+// differential suite in internal/workload enforces this.
 func GenerateOpts(reg *resource.Registry, partial *spec.Partial, opts Options) (*Graph, error) {
 	if opts.Parallelism <= 0 {
 		return Generate(reg, partial)
@@ -30,9 +30,7 @@ func GenerateOpts(reg *resource.Registry, partial *spec.Partial, opts Options) (
 	if err != nil {
 		return nil, err
 	}
-	sub := resource.NewSubtyper(reg)
-	r := &cachedResolver{graphResolver{g: g, sub: sub}, newMatchCache(g, sub), newFrontierMemo(reg)}
-	return expand(g, worklist, r, reg)
+	return expand(g, worklist, newCachedResolver(reg, g), reg)
 }
 
 // cachedResolver reads and writes the live graph as graphResolver does,
@@ -43,15 +41,20 @@ type cachedResolver struct {
 	fr    *frontierMemo
 }
 
+func newCachedResolver(reg *resource.Registry, g *Graph) *cachedResolver {
+	sub := resource.NewSubtyper(reg)
+	return &cachedResolver{graphResolver{g: g, sub: sub}, newMatchCache(g, sub), newFrontierMemo(reg)}
+}
+
 func (r *cachedResolver) findMatch(k resource.Key, machine, source string) string {
-	id, _ := r.cache.query(k, machine, len(r.g.Order), source)
+	id, _ := r.cache.query(k, machine, source)
 	return id
 }
 
 func (r *cachedResolver) findContainer(machine string, alts []resource.Key) string {
 	best, bestIdx := "", -1
 	for _, a := range alts {
-		if id, idx := r.cache.query(a, machine, len(r.g.Order), ""); id != "" {
+		if id, idx := r.cache.query(a, machine, ""); id != "" {
 			if bestIdx < 0 || idx < bestIdx {
 				best, bestIdx = id, idx
 			}
@@ -65,18 +68,31 @@ func (r *cachedResolver) frontier(k resource.Key) ([]resource.Key, error) {
 }
 
 // matchCache memoizes first-match resolution over the (append-only)
-// node list. For each (key, machine) pair it remembers the first two
-// matching nodes and how far the scan got; a query resumes the scan
-// instead of restarting it, so resolving a given pair costs one
-// amortized pass over the node list no matter how many dependency
-// disjuncts ask. Two matches suffice because a query excludes at most
-// one node (the dependent itself). Answers are a pure function of
-// (graph prefix, key, machine, limit, source) and therefore independent
-// of query order, even though the internal scan positions are not.
+// node list. It absorbs new nodes from g.Order lazily into two indexes
+// of the same nodes in creation order: one list of all of them, for peer
+// queries (machine ""), and one list per machine, for environment and
+// container queries. For each (key, machine) pair it remembers the first
+// two matching nodes and how far its scan of that list got; a query
+// resumes the scan instead of restarting it, so resolving a given pair
+// costs one amortized pass over the machine's nodes (all nodes for a
+// peer query) no matter how many dependency disjuncts ask. Two matches
+// suffice because a query excludes at most one node (the dependent
+// itself). Answers are a pure function of (graph, key, machine, source)
+// and therefore independent of query order, even though the internal
+// scan positions are not.
 type matchCache struct {
-	g   *Graph
-	sub *resource.Subtyper
-	m   map[matchKey]*matchEntry
+	g         *Graph
+	sub       *resource.Subtyper
+	m         map[matchKey]*matchEntry
+	all       []indexedNode             // g.Order[:len(all)], absorbed
+	byMachine map[string]*[]indexedNode // the absorbed nodes per machine
+	examined  int                       // nodes the scans have looked at
+}
+
+// indexedNode is a node and its position in creation order.
+type indexedNode struct {
+	n   *Node
+	idx int
 }
 
 type matchKey struct {
@@ -85,43 +101,64 @@ type matchKey struct {
 }
 
 type matchEntry struct {
-	ids     [2]string
-	idxs    [2]int
-	n       int // filled entries of ids/idxs
-	scanned int // g.Order[:scanned] has been scanned
+	list    *[]indexedNode // the index this pair scans, found once so a query does no machine lookup
+	idxs    [2]int         // creation-order positions of the matches
+	n       int            // filled entries of idxs
+	scanned int            // (*list)[:scanned] has been scanned
 }
 
 func newMatchCache(g *Graph, sub *resource.Subtyper) *matchCache {
-	return &matchCache{g: g, sub: sub, m: make(map[matchKey]*matchEntry)}
+	return &matchCache{g: g, sub: sub, m: make(map[matchKey]*matchEntry), byMachine: make(map[string]*[]indexedNode)}
 }
 
-// query returns the first node among g.Order[:limit] whose key is a
-// subtype of k (restricted to the machine when non-empty), excluding
-// source, together with its position in creation order; ("", -1) when
-// there is none.
-func (c *matchCache) query(k resource.Key, machine string, limit int, source string) (string, int) {
+// machineList returns the machine's index, creating it empty.
+func (c *matchCache) machineList(machine string) *[]indexedNode {
+	l := c.byMachine[machine]
+	if l == nil {
+		l = new([]indexedNode)
+		c.byMachine[machine] = l
+	}
+	return l
+}
+
+// absorb indexes the nodes added to g since the last call.
+func (c *matchCache) absorb() {
+	for i := len(c.all); i < len(c.g.Order); i++ {
+		x := indexedNode{c.g.nodes[c.g.Order[i]], i}
+		c.all = append(c.all, x)
+		l := c.machineList(x.n.Machine)
+		*l = append(*l, x)
+	}
+}
+
+// query returns the first node in creation order whose key is a subtype
+// of k (restricted to the machine when non-empty), excluding source,
+// together with its position in creation order; ("", -1) when there is
+// none.
+func (c *matchCache) query(k resource.Key, machine, source string) (string, int) {
+	c.absorb()
 	mk := matchKey{key: k, machine: machine}
 	e := c.m[mk]
 	if e == nil {
-		e = &matchEntry{}
+		e = &matchEntry{list: &c.all}
+		if machine != "" {
+			e.list = c.machineList(machine)
+		}
 		c.m[mk] = e
 	}
-	for e.n < 2 && e.scanned < limit {
-		id := c.g.Order[e.scanned]
-		n := c.g.nodes[id]
-		if (machine == "" || n.Machine == machine) && c.sub.IsSubtype(n.Key, k) {
-			e.ids[e.n] = id
-			e.idxs[e.n] = e.scanned
+	list := *e.list
+	for e.n < 2 && e.scanned < len(list) {
+		x := list[e.scanned]
+		c.examined++
+		if c.sub.IsSubtype(x.n.Key, k) {
+			e.idxs[e.n] = x.idx
 			e.n++
 		}
 		e.scanned++
 	}
-	for i := 0; i < e.n; i++ {
-		if e.idxs[i] >= limit {
-			break
-		}
-		if e.ids[i] != source {
-			return e.ids[i], e.idxs[i]
+	for _, idx := range e.idxs[:e.n] {
+		if id := c.all[idx].n.ID; id != source {
+			return id, idx
 		}
 	}
 	return "", -1
