@@ -330,12 +330,18 @@ func (e *Engine) build(g *hypergraph.Graph, selected map[string]bool) (*spec.Ful
 		if !selected[n.ID] {
 			continue
 		}
-		inst := instanceFromNode(n)
+		inst := instanceFromNode(n, e.Registry.MustLookup(n.Key))
 		full.Instances = append(full.Instances, inst)
 		byID[inst.ID] = inst
 	}
+	// A node's edges are appended together, so the source's lookup is
+	// reused until it changes.
+	var src *spec.Instance
+	lastSource := ""
 	for _, edge := range g.Edges {
-		src := byID[edge.Source]
+		if edge.Source != lastSource {
+			src, lastSource = byID[edge.Source], edge.Source
+		}
 		if src == nil {
 			continue // source not deployed
 		}
@@ -356,17 +362,17 @@ func (e *Engine) build(g *hypergraph.Graph, selected map[string]bool) (*spec.Ful
 	return full, nil
 }
 
-// instanceFromNode materializes one selected graph node as a spec
-// instance.
-func instanceFromNode(n *hypergraph.Node) *spec.Instance {
+// instanceFromNode materializes one selected graph node of type t as a
+// spec instance, its port maps sized for the values propagation fills.
+func instanceFromNode(n *hypergraph.Node, t *resource.Type) *spec.Instance {
 	inst := &spec.Instance{
 		ID:      n.ID,
 		Key:     n.Key,
 		Machine: n.Machine,
 		Inside:  n.Inside,
-		Config:  make(map[string]resource.Value, len(n.Config)),
-		Input:   make(map[string]resource.Value),
-		Output:  make(map[string]resource.Value),
+		Config:  make(map[string]resource.Value, len(t.Config)),
+		Input:   make(map[string]resource.Value, len(t.Input)),
+		Output:  make(map[string]resource.Value, len(t.Output)),
 	}
 	for k, v := range n.Config {
 		inst.Config[k] = v

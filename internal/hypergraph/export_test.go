@@ -8,11 +8,9 @@ import (
 // GenerateExamined is GenerateOpts at Parallelism 1 that also returns
 // how many nodes the match cache's scans examined.
 func GenerateExamined(reg *resource.Registry, partial *spec.Partial) (*Graph, int, error) {
-	g, worklist, err := initFromPartial(reg, partial)
+	g, r, err := generateCached(reg, partial)
 	if err != nil {
 		return nil, 0, err
 	}
-	r := newCachedResolver(reg, g)
-	g, err = expand(g, worklist, r, reg)
-	return g, r.cache.examined, err
+	return g, r.cache.examined, nil
 }

@@ -26,11 +26,20 @@ func GenerateOpts(reg *resource.Registry, partial *spec.Partial, opts Options) (
 	if opts.Parallelism <= 0 {
 		return Generate(reg, partial)
 	}
+	g, _, err := generateCached(reg, partial)
+	return g, err
+}
+
+// generateCached runs the worklist through a fresh cachedResolver and
+// returns the resolver with the graph, so tests can read its counts.
+func generateCached(reg *resource.Registry, partial *spec.Partial) (*Graph, *cachedResolver, error) {
 	g, worklist, err := initFromPartial(reg, partial)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return expand(g, worklist, newCachedResolver(reg, g), reg)
+	r := newCachedResolver(reg, g)
+	g, err = expand(g, worklist, r, reg)
+	return g, r, err
 }
 
 // cachedResolver reads and writes the live graph as graphResolver does,

@@ -13,57 +13,90 @@ import (
 // instances (both of which the type checker rejects, but specifications
 // can also arrive from JSON).
 func (f *Full) TopoOrder() ([]*Instance, error) {
-	byID := make(map[string]*Instance, len(f.Instances))
-	for _, inst := range f.Instances {
-		if byID[inst.ID] != nil {
+	n := len(f.Instances)
+	index := make(map[string]int32, n)
+	for i, inst := range f.Instances {
+		if _, dup := index[inst.ID]; dup {
 			return nil, fmt.Errorf("spec: duplicate instance id %q", inst.ID)
 		}
-		byID[inst.ID] = inst
+		index[inst.ID] = int32(i)
 	}
 
-	indeg := make(map[string]int, len(f.Instances))
-	dependents := make(map[string][]string, len(f.Instances))
-	for _, inst := range f.Instances {
-		deps := inst.DependencyIDs()
-		for _, d := range deps {
-			if byID[d] == nil {
-				return nil, fmt.Errorf("spec: instance %q depends on unknown instance %q", inst.ID, d)
+	// The dependency relation by position: each instance's distinct
+	// dependencies, as DependencyIDs lists them, without building them.
+	indeg := make([]int32, n)
+	dependents := make([][]int32, n)
+	seenBy := make([]int32, n) // seenBy[d] == i+1: d is already a dependency of i
+	for i, inst := range f.Instances {
+		for k := -1; k < len(inst.Deps); k++ { // k = -1 is the container
+			id := inst.Inside
+			if k >= 0 {
+				id = inst.Deps[k].Target
 			}
-			dependents[d] = append(dependents[d], inst.ID)
+			if id == "" {
+				continue
+			}
+			d, ok := index[id]
+			if !ok {
+				return nil, fmt.Errorf("spec: instance %q depends on unknown instance %q", inst.ID, id)
+			}
+			if seenBy[d] == int32(i)+1 {
+				continue
+			}
+			seenBy[d] = int32(i) + 1
+			dependents[d] = append(dependents[d], int32(i))
+			indeg[i]++
 		}
-		indeg[inst.ID] = len(deps)
 	}
 
-	// Kahn's algorithm, popping the least ready ID for determinism.
-	ready := &idHeap{}
-	for _, inst := range f.Instances {
-		if indeg[inst.ID] == 0 {
-			heap.Push(ready, inst.ID)
+	// Kahn's algorithm, taking the least ready ID for determinism.
+	ready := &readySet{inst: f.Instances}
+	for i := range f.Instances {
+		if indeg[i] == 0 {
+			heap.Push(ready, int32(i))
 		}
 	}
-
-	out := make([]*Instance, 0, len(f.Instances))
+	out := make([]*Instance, 0, n)
 	for ready.Len() > 0 {
-		id := heap.Pop(ready).(string)
-		out = append(out, byID[id])
-		for _, dep := range dependents[id] {
+		d := heap.Pop(ready).(int32)
+		out = append(out, f.Instances[d])
+		for _, dep := range dependents[d] {
 			indeg[dep]--
 			if indeg[dep] == 0 {
 				heap.Push(ready, dep)
 			}
 		}
 	}
-	if len(out) != len(f.Instances) {
+	if len(out) != n {
 		var stuck []string
-		for id, n := range indeg {
-			if n > 0 {
-				stuck = append(stuck, id)
+		for i, inst := range f.Instances {
+			if indeg[i] > 0 {
+				stuck = append(stuck, inst.ID)
 			}
 		}
 		sort.Strings(stuck)
 		return nil, fmt.Errorf("spec: dependency cycle involving %v", stuck)
 	}
 	return out, nil
+}
+
+// readySet is TopoOrder's ready set: a min-heap of instance positions
+// ordered by ID.
+type readySet struct {
+	idx  []int32
+	inst []*Instance
+}
+
+func (h *readySet) Len() int           { return len(h.idx) }
+func (h *readySet) Less(a, b int) bool { return h.inst[h.idx[a]].ID < h.inst[h.idx[b]].ID }
+func (h *readySet) Swap(a, b int)      { h.idx[a], h.idx[b] = h.idx[b], h.idx[a] }
+func (h *readySet) Push(x any)         { h.idx = append(h.idx, x.(int32)) }
+
+func (h *readySet) Pop() any {
+	n := len(h.idx) - 1
+	x := h.idx[n]
+	h.idx = h.idx[:n]
+	return x
 }
 
 // idHeap is Kahn's ready set: a min-heap of IDs, so the least ready ID
