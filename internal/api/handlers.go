@@ -493,11 +493,12 @@ func (s *Server) handleStackList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-type stackGetResponse struct {
+// stackGetHead is what a GET /v1/stacks/{name} response carries before
+// "stack", the record's stored body.
+type stackGetHead struct {
 	stackSummary
-	Seq   int64        `json:"seq"`
-	Live  bool         `json:"live"`
-	Stack *stack.Stack `json:"stack"`
+	Seq  int64 `json:"seq"`
+	Live bool  `json:"live"`
 }
 
 func (s *Server) handleStackGet(w http.ResponseWriter, r *http.Request) {
@@ -508,16 +509,37 @@ func (s *Server) handleStackGet(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("no stack named %q", name), nil)
 		return
 	}
-	e := s.entry(name)
-	e.mu.Lock()
-	live := e.applied != nil
-	e.mu.Unlock()
-	writeJSON(w, http.StatusOK, stackGetResponse{
-		stackSummary: summarize(rec),
-		Seq:          rec.Seq,
-		Live:         live,
-		Stack:        rec.Stack,
-	})
+	live := false
+	s.stacksMu.Lock()
+	e := s.stacks[name]
+	s.stacksMu.Unlock()
+	if e != nil {
+		e.mu.Lock()
+		live = e.applied != nil
+		e.mu.Unlock()
+	}
+	writeStack(w, stackGetHead{stackSummary: summarize(rec), Seq: rec.Seq, Live: live}, rec.Body())
+}
+
+// stackKey ends the head's last field and opens "stack".
+var stackKey = []byte(",\n  \"stack\": ")
+
+// writeStack writes a stack GET response: the same bytes writeJSON
+// writes for head's fields followed by "stack", with the stack already
+// encoded at the depth it sits at.
+func writeStack(w http.ResponseWriter, head stackGetHead, body []byte) {
+	data, err := json.MarshalIndent(head, "", "  ")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// "stack" takes the place of the head's closing "\n}", which
+	// follows the body instead.
+	w.Write(append(data[:len(data)-2], stackKey...))
+	w.Write(body)
+	w.Write([]byte("\n}\n"))
 }
 
 // stackPostRequest is the body of POST /v1/stacks/{name}.
@@ -597,7 +619,7 @@ func (s *Server) stackApply(w http.ResponseWriter, name string, req *stackPostRe
 		return
 	}
 	e := s.lockEntry(name)
-	defer e.mu.Unlock()
+	defer s.unlockEntry(name, e)
 
 	// Optimistic concurrency: the store version is read under the
 	// entry lock, so a concurrent apply to the same stack either
@@ -657,12 +679,7 @@ func (s *Server) stackApply(w http.ResponseWriter, name string, req *stackPostRe
 		return
 	}
 
-	snap, err := cloneStack(e.applied.Stack)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err.Error(), nil)
-		return
-	}
-	rec, err := s.store.CompareAndSwap(name, current, "applied", snap)
+	rec, err := s.store.CompareAndSwap(name, current, "applied", e.applied.Stack.Clone())
 	if err != nil {
 		// Unreachable while stack posts serialize on the entry lock,
 		// but surface it as the 409 contract rather than lying.
@@ -687,7 +704,7 @@ func (s *Server) stackApply(w http.ResponseWriter, name string, req *stackPostRe
 
 func (s *Server) stackReconcile(w http.ResponseWriter, name string, req *stackPostRequest) {
 	e := s.lockEntry(name)
-	defer e.mu.Unlock()
+	defer s.unlockEntry(name, e)
 
 	if e.applied == nil {
 		if _, ok := s.store.Get(name); !ok {
@@ -729,12 +746,7 @@ func (s *Server) stackReconcile(w http.ResponseWriter, name string, req *stackPo
 		return
 	}
 
-	snap, err := cloneStack(e.applied.Stack)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err.Error(), nil)
-		return
-	}
-	rec, err := s.store.CompareAndSwap(name, current, "reconciled", snap)
+	rec, err := s.store.CompareAndSwap(name, current, "reconciled", e.applied.Stack.Clone())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "internal", err.Error(), nil)
 		return
@@ -846,11 +858,10 @@ func (s *Server) handleStackDelete(w http.ResponseWriter, r *http.Request) {
 		expect = &n
 	}
 	e := s.lockEntry(name)
-	defer e.mu.Unlock()
+	defer s.unlockEntry(name, e)
 
 	current := s.store.Version(name)
 	if current == 0 && e.applied == nil {
-		s.dropEntry(name, e)
 		writeError(w, http.StatusNotFound, "not_found",
 			fmt.Sprintf("no stack named %q", name), nil)
 		return

@@ -35,7 +35,6 @@
 package api
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -138,8 +137,8 @@ type snapshot struct {
 // against. partial is the partial specification of the last successful
 // apply: the pool owns the warm sessions, and a reconcile borrows the
 // stack's by this (applied.Session is nil between requests). removed
-// marks an entry a delete dropped from the server; lockEntry never hands
-// it out.
+// marks an entry dropped from the server, by a delete or by a stack
+// write that left nothing under the name; lockEntry never hands it out.
 type stackEntry struct {
 	mu      sync.Mutex
 	ctl     *stack.Controller
@@ -279,8 +278,21 @@ func (s *Server) lockEntry(name string) *stackEntry {
 func (s *Server) dropEntry(name string, e *stackEntry) {
 	e.removed = true
 	s.stacksMu.Lock()
-	delete(s.stacks, name)
+	if s.stacks[name] == e {
+		delete(s.stacks, name)
+	}
 	s.stacksMu.Unlock()
+}
+
+// unlockEntry unlocks the entry a stack write locked. A request that
+// leaves neither a live stack nor a record under the name — a 404, a
+// stale token for a new name, a failed first apply — drops the entry
+// first, so no client can grow the server's stacks without bound.
+func (s *Server) unlockEntry(name string, e *stackEntry) {
+	if !e.removed && e.applied == nil && s.store.Version(name) == 0 {
+		s.dropEntry(name, e)
+	}
+	e.mu.Unlock()
 }
 
 // registryFingerprint hashes the resolved library's sorted type keys.
@@ -306,14 +318,4 @@ func requestKey(lib *snapshot, p *spec.Partial) (string, error) {
 	}
 	sum := sha256.Sum256(data)
 	return lib.fp + ":" + hex.EncodeToString(sum[:8]), nil
-}
-
-// cloneStack deep-copies a stack record through its JSON form, so store
-// snapshots are immune to later in-place mutation by reconcile rounds.
-func cloneStack(st *stack.Stack) (*stack.Stack, error) {
-	var buf bytes.Buffer
-	if err := st.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	return stack.ReadStack(&buf)
 }

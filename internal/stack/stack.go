@@ -16,7 +16,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 
@@ -24,6 +26,7 @@ import (
 	"engage/internal/deploy"
 	"engage/internal/health"
 	"engage/internal/monitor"
+	"engage/internal/resource"
 	"engage/internal/spec"
 )
 
@@ -81,6 +84,69 @@ func ReadStack(r io.Reader) (*Stack, error) {
 		s.Bindings = map[string]Binding{}
 	}
 	return &s, nil
+}
+
+// Clone returns a deep copy of the record: the desired instances with
+// their port maps, dependency links and values, and the bindings with
+// their ports. Nothing the copy holds is shared with s, so the copy is
+// immune to later in-place mutation of s by re-applies and repairs, and
+// the reverse.
+func (s *Stack) Clone() *Stack {
+	c := &Stack{Name: s.Name, Version: s.Version}
+	if s.Desired != nil {
+		c.Desired = &spec.Full{Instances: make([]*spec.Instance, len(s.Desired.Instances))}
+		for i, inst := range s.Desired.Instances {
+			c.Desired.Instances[i] = cloneInstance(inst)
+		}
+	}
+	if s.Bindings != nil {
+		c.Bindings = make(map[string]Binding, len(s.Bindings))
+		for id, b := range s.Bindings {
+			b.Ports = slices.Clone(b.Ports)
+			c.Bindings[id] = b
+		}
+	}
+	return c
+}
+
+func cloneInstance(inst *spec.Instance) *spec.Instance {
+	c := *inst
+	c.Config, c.Input, c.Output = cloneValues(inst.Config), cloneValues(inst.Input), cloneValues(inst.Output)
+	if inst.Deps != nil {
+		c.Deps = make([]spec.DepLink, len(inst.Deps))
+		for i, d := range inst.Deps {
+			d.PortMap, d.ReversePortMap = maps.Clone(d.PortMap), maps.Clone(d.ReversePortMap)
+			c.Deps[i] = d
+		}
+	}
+	return &c
+}
+
+func cloneValues(m map[string]resource.Value) map[string]resource.Value {
+	if m == nil {
+		return nil
+	}
+	c := make(map[string]resource.Value, len(m))
+	for k, v := range m {
+		c[k] = cloneValue(v)
+	}
+	return c
+}
+
+// cloneValue copies a value's struct fields and list elements; a scalar
+// is already a copy.
+func cloneValue(v resource.Value) resource.Value {
+	if v.Fields != nil {
+		v.Fields = cloneValues(v.Fields)
+	}
+	if v.List != nil {
+		l := make([]resource.Value, len(v.List))
+		for i, e := range v.List {
+			l[i] = cloneValue(e)
+		}
+		v.List = l
+	}
+	return v
 }
 
 // ManifestPath is where an instance's config manifest lives on its

@@ -29,12 +29,29 @@ import (
 // that leaves stack.Stack.Version alone, so "somebody applied since I
 // read" is always detectable. Seq is the global apply sequence at the
 // time of the update.
+//
+// A record is written once and then only read: Stack must not be
+// mutated after it is stored, because body, its encoded form, is
+// computed from it at that moment.
 type Record struct {
 	Name    string       `json:"name"`
 	Version int64        `json:"version"`
 	Seq     int64        `json:"seq"`
 	Status  string       `json:"status,omitempty"`
 	Stack   *stack.Stack `json:"stack,omitempty"`
+
+	body []byte
+}
+
+// Body returns the stack's JSON encoding at the depth it sits at in a
+// GET /v1/stacks/{name} response, json.MarshalIndent(Stack, "  ", "  "):
+// "null" for a record without a stack. The bytes are shared; callers
+// must not modify them.
+func (r Record) Body() []byte { return r.body }
+
+// encodeStack is a record body for st.
+func encodeStack(st *stack.Stack) ([]byte, error) {
+	return json.MarshalIndent(st, "  ", "  ")
 }
 
 // ConflictError reports a compare-and-swap whose expected version no
@@ -109,8 +126,15 @@ func (s *Store) List() []Record {
 // version still equals expect (0 = record must be absent). On success
 // the stored version becomes expect+1 and the updated record is
 // returned; on mismatch nothing changes and the error is a
-// *ConflictError carrying the current version.
+// *ConflictError carrying the current version. The store keeps st
+// itself, so the caller hands over a stack it no longer mutates (a
+// Clone of a live one), and the record's body is encoded before the
+// lock is taken.
 func (s *Store) CompareAndSwap(name string, expect int64, status string, st *stack.Stack) (Record, error) {
+	body, err := encodeStack(st)
+	if err != nil {
+		return Record{}, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	have := s.recs[name].Version
@@ -118,7 +142,7 @@ func (s *Store) CompareAndSwap(name string, expect int64, status string, st *sta
 		return Record{}, &ConflictError{Name: name, Have: have, Want: expect}
 	}
 	s.seq++
-	rec := Record{Name: name, Version: expect + 1, Seq: s.seq, Status: status, Stack: st}
+	rec := Record{Name: name, Version: expect + 1, Seq: s.seq, Status: status, Stack: st, body: body}
 	s.recs[name] = rec
 	return rec, nil
 }
@@ -160,7 +184,8 @@ func (s *Store) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// ReadStore parses a flush written by WriteJSON.
+// ReadStore parses a flush written by WriteJSON and encodes each
+// record's body again.
 func ReadStore(r io.Reader) (*Store, error) {
 	var in fileJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -175,6 +200,11 @@ func ReadStore(r io.Reader) (*Store, error) {
 		if rec.Version <= 0 {
 			return nil, fmt.Errorf("store: record %q has non-positive version %d", rec.Name, rec.Version)
 		}
+		body, err := encodeStack(rec.Stack)
+		if err != nil {
+			return nil, fmt.Errorf("store: record %q: %v", rec.Name, err)
+		}
+		rec.body = body
 		s.recs[rec.Name] = rec
 	}
 	return s, nil

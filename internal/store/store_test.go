@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -196,5 +197,58 @@ func TestConcurrentCASLosesNothing(t *testing.T) {
 	}
 	if got := s.Seq(); got != int64(successes) {
 		t.Errorf("global seq = %d, want %d successful updates", got, successes)
+	}
+}
+
+// TestStackGetBodyAcrossReload: a record's body is its stack encoded at
+// the depth a GET response puts it, from a CompareAndSwap and from a
+// reload alike, and the flush format carries no trace of it.
+func TestStackGetBodyAcrossReload(t *testing.T) {
+	s := New()
+	st := testStack(1)
+	rec, err := s.CompareAndSwap("web", 0, "applied", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.MarshalIndent(st, "  ", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.Body(), want) {
+		t.Fatalf("CAS body:\n%s\nwant\n%s", rec.Body(), want)
+	}
+	if got, _ := s.Get("web"); !bytes.Equal(got.Body(), want) {
+		t.Fatal("Get returns another body than the CAS did")
+	}
+
+	var flush bytes.Buffer
+	if err := s.WriteJSON(&flush); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(flush.Bytes(), []byte(`"body"`)) {
+		t.Fatal("the flush carries the encoded body")
+	}
+	// A record without a stack reloads with the body "null".
+	withBare := bytes.Replace(flush.Bytes(), []byte(`"records": [`),
+		[]byte(`"records": [{"name": "bare", "version": 1, "seq": 1},`), 1)
+	got, err := ReadStore(bytes.NewReader(withBare))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, _ := got.Get("web"); !bytes.Equal(rec.Body(), want) {
+		t.Fatalf("reloaded body:\n%s\nwant\n%s", rec.Body(), want)
+	}
+	if rec, _ := got.Get("bare"); string(rec.Body()) != "null" {
+		t.Fatalf("body of a record without a stack = %q, want null", rec.Body())
+	}
+	if err := got.Delete("bare", 1); err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := got.WriteJSON(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), flush.Bytes()) {
+		t.Fatalf("flush after reload:\n%s\nwant\n%s", again.Bytes(), flush.Bytes())
 	}
 }
