@@ -2,314 +2,151 @@ package certify
 
 // Solver-free plan verification: re-validate a resolved full
 // installation specification against the library and the partial
-// specification it claims to extend, without trusting the constraint
-// encoder, the SAT solver, or the propagation engine. The hypergraph is
-// regenerated (the generator is a deterministic worklist — no search),
-// the selection is checked directly against every hyperedge, the
-// dependency closure and machine placement are re-derived from first
-// principles, and every port value is confirmed to satisfy its defining
-// equation. Findings surface as lint diagnostics under the plan-*
-// codes.
+// specification it claims to extend, trusting neither GraphGen, the
+// constraint encoder, the SAT solver nor the propagation engine.
+// CheckPlan runs the specification checker of internal/typecheck (the
+// §3.3 rules and, given the partial, the extension rules: partial
+// instances present, one deployed target per environment choice on a
+// machine, every instance reachable) — no hypergraph is regenerated —
+// and then confirms every port value satisfies its defining equation.
+// Findings surface as diagnostics under the plan-* codes.
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
-	"engage/internal/hypergraph"
-	"engage/internal/lint"
+	"engage/internal/diag"
 	"engage/internal/resource"
 	"engage/internal/spec"
+	"engage/internal/typecheck"
 )
 
-// planReport accumulates diagnostics with the fixed lint severities.
+// planReport accumulates diagnostics; every plan-* code is an error.
 type planReport struct {
-	diags []lint.Diagnostic
+	diags []diag.Diagnostic
 }
 
 func (r *planReport) add(code, pos, subject, format string, args ...any) {
-	sev, _ := lint.CodeSeverity(code)
-	r.diags = append(r.diags, lint.Diagnostic{
+	r.diags = append(r.diags, diag.Diagnostic{
 		Code:     code,
-		Severity: sev,
+		Severity: diag.Error,
 		Pos:      pos,
 		Subject:  subject,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
-// CheckPlan re-validates a full installation specification. With a
-// non-nil partial it regenerates the dependency hypergraph and checks
-// the selection against every hyperedge constraint plus the config-port
-// override discipline; with a nil partial (a bare record, e.g. a stack
-// file without its source specification) those checks are skipped and
-// only the self-contained invariants run: dependency closure, machine
-// placement, and the port-propagation equations. An empty result means
-// the plan is certified at the requested strength.
-func CheckPlan(reg *resource.Registry, partial *spec.Partial, full *spec.Full) []lint.Diagnostic {
-	r := &planReport{}
-
+// CheckPlan re-validates a full installation specification: the
+// specification checker's structural rules, then the port equations.
+// With a non-nil partial it also runs the checker's extension rules and
+// holds config ports to the partial's overrides and their defaults;
+// with a nil partial (a bare record, e.g. a stack file without its
+// source specification) those checks are skipped. An empty result means
+// the plan is certified at the requested strength. (The result is
+// []lint.Diagnostic: lint re-exports diag's types.)
+func CheckPlan(reg *resource.Registry, partial *spec.Partial, full *spec.Full) []diag.Diagnostic {
+	r := &planReport{diags: typecheck.Check(reg, partial, full)}
 	byID := make(map[string]*spec.Instance, len(full.Instances))
 	for _, inst := range full.Instances {
-		if _, dup := byID[inst.ID]; dup {
-			r.add(lint.CodePlanClosure, "", inst.ID, "duplicate instance %q in the full specification", inst.ID)
-			continue
+		if _, dup := byID[inst.ID]; !dup {
+			byID[inst.ID] = inst
 		}
-		byID[inst.ID] = inst
 	}
-
-	checkClosure(reg, full, byID, r)
-	checkPorts(reg, partial, full, byID, r)
+	var overrides map[string]map[string]resource.Value
 	if partial != nil {
-		checkSelection(reg, partial, full, byID, r)
+		overrides = make(map[string]map[string]resource.Value, len(partial.Instances))
+		for _, pi := range partial.Instances {
+			overrides[pi.ID] = pi.Config
+		}
+	}
+	for _, inst := range full.Instances {
+		t, ok := reg.Lookup(inst.Key)
+		if !ok {
+			continue // the checker reported it
+		}
+		checkReversePorts(inst, byID, r)
+		checkDeclaredPorts(t, partial != nil, overrides[inst.ID], inst, r)
 	}
 	return r.diags
 }
 
-// checkClosure verifies the specification is dependency-closed and
-// placed consistently: every link lands on a present instance, every
-// inside chain terminates in a machine, and each instance's recorded
-// machine matches the chain.
-func checkClosure(reg *resource.Registry, full *spec.Full, byID map[string]*spec.Instance, r *planReport) {
-	for _, inst := range full.Instances {
-		t, ok := reg.Lookup(inst.Key)
-		if !ok {
-			r.add(lint.CodePlanClosure, "", inst.ID, "instance %q has unknown resource type %q", inst.ID, inst.Key)
-			continue
-		}
-		if t.Abstract {
-			r.add(lint.CodePlanClosure, t.Origin, inst.ID, "instance %q instantiates abstract type %q", inst.ID, inst.Key)
-		}
-		if t.IsMachine() != (inst.Inside == "") {
-			if t.IsMachine() {
-				r.add(lint.CodePlanClosure, t.Origin, inst.ID, "machine instance %q claims container %q", inst.ID, inst.Inside)
-			} else {
-				r.add(lint.CodePlanClosure, t.Origin, inst.ID, "instance %q of type %q has no container", inst.ID, inst.Key)
-			}
-		}
-		if inst.Inside != "" {
-			if _, ok := byID[inst.Inside]; !ok {
-				r.add(lint.CodePlanClosure, "", inst.ID, "instance %q names absent container %q", inst.ID, inst.Inside)
-			}
-		}
-		for _, d := range inst.Deps {
-			if _, ok := byID[d.Target]; !ok {
-				r.add(lint.CodePlanClosure, "", inst.ID, "instance %q has a %s link to absent instance %q", inst.ID, d.Class, d.Target)
-			}
-		}
-		if m := followInside(inst, byID); m != "" && m != inst.Machine {
-			r.add(lint.CodePlanClosure, "", inst.ID, "instance %q records machine %q but its container chain reaches %q", inst.ID, inst.Machine, m)
-		}
-	}
-}
-
-// followInside walks container links to the machine; "" when the chain
-// is broken or cyclic (reported separately by the closure checks).
-func followInside(inst *spec.Instance, byID map[string]*spec.Instance) string {
-	seen := map[string]bool{}
-	cur := inst
-	for {
-		if cur.Inside == "" {
-			return cur.ID
-		}
-		if seen[cur.ID] {
-			return ""
-		}
-		seen[cur.ID] = true
-		next, ok := byID[cur.Inside]
-		if !ok {
-			return ""
-		}
-		cur = next
-	}
-}
-
-// checkSelection regenerates the hypergraph from the partial
-// specification and confirms the deployed set satisfies it: every spec
-// instance deployed, every deployed instance a graph node of the same
-// type, and every hyperedge of a deployed source resolved by exactly
-// one deployed target that the instance's links actually name.
-func checkSelection(reg *resource.Registry, partial *spec.Partial, full *spec.Full, byID map[string]*spec.Instance, r *planReport) {
-	g, err := hypergraph.Generate(reg, partial)
-	if err != nil {
-		r.add(lint.CodePlanConstraint, "", "", "cannot regenerate the dependency hypergraph: %v", err)
-		return
-	}
-	for _, n := range g.Nodes() {
-		if n.FromSpec {
-			if _, ok := byID[n.ID]; !ok {
-				r.add(lint.CodePlanConstraint, "", n.ID, "specified instance %q is missing from the full specification", n.ID)
-			}
-		}
-	}
-	for _, inst := range full.Instances {
-		n, ok := g.Node(inst.ID)
-		if !ok {
-			r.add(lint.CodePlanConstraint, "", inst.ID, "deployed instance %q is not a node of the dependency hypergraph", inst.ID)
-			continue
-		}
-		if n.Key != inst.Key {
-			r.add(lint.CodePlanConstraint, "", inst.ID, "deployed instance %q has type %q; the hypergraph assigns %q", inst.ID, inst.Key, n.Key)
-		}
-	}
-	for _, e := range g.Edges {
-		src, deployed := byID[e.Source]
-		if !deployed {
-			continue
-		}
-		var chosen []string
-		for _, tgt := range e.Targets {
-			if _, ok := byID[tgt]; ok {
-				chosen = append(chosen, tgt)
-			}
-		}
-		if len(chosen) != 1 {
-			r.add(lint.CodePlanConstraint, "", e.Source,
-				"the %s dependency of %q must be satisfied by exactly one deployed target, found %d of %v",
-				e.Class, e.Source, len(chosen), e.Targets)
-			continue
-		}
-		if !hasLink(src, e, chosen[0]) {
-			r.add(lint.CodePlanConstraint, "", e.Source,
-				"instance %q does not link its %s dependency to the selected target %q", e.Source, e.Class, chosen[0])
-		}
-	}
-}
-
-// hasLink reports whether the instance records a dependency link
-// matching the hyperedge's class and chosen target. Inside edges are
-// satisfied by either the Inside field or an explicit link.
-func hasLink(inst *spec.Instance, e hypergraph.Hyperedge, target string) bool {
-	if e.Class == resource.DepInside && inst.Inside == target {
-		return true
-	}
-	for _, d := range inst.Deps {
-		if d.Class == e.Class && d.Target == target {
-			return true
-		}
-	}
-	return false
-}
-
-// checkPorts confirms every port value satisfies its defining equation
-// — an order-free restatement of the propagation semantics:
-//
-//   - linked inputs equal the mapped upstream outputs (forward and
-//     reverse port maps);
-//   - config ports equal their partial-specification override when one
-//     exists, and their default expression otherwise;
-//   - output ports equal their defining expression under the instance's
-//     final scope;
-//   - no undeclared ports appear.
-//
-// With a nil partial, config values that diverge from their default
-// cannot be told apart from overrides, so only missing values are
-// reported for config ports.
-func checkPorts(reg *resource.Registry, partial *spec.Partial, full *spec.Full, byID map[string]*spec.Instance, r *planReport) {
-	for _, inst := range full.Instances {
-		t, ok := reg.Lookup(inst.Key)
-		if !ok {
-			continue // closure check already reported it
-		}
-		checkLinkedPorts(inst, byID, r)
-		checkDeclaredPorts(t, partial, inst, r)
-		checkNoUndeclared(t, inst, r)
-	}
-}
-
-// checkLinkedPorts re-derives the dependency port flows.
-func checkLinkedPorts(inst *spec.Instance, byID map[string]*spec.Instance, r *planReport) {
+// checkReversePorts re-derives the reverse port flows (§3.4): each
+// reverse-mapped output of inst reaches the linked target's input. The
+// checker holds the forward maps.
+func checkReversePorts(inst *spec.Instance, byID map[string]*spec.Instance, r *planReport) {
 	for _, l := range inst.Deps {
 		target := byID[l.Target]
 		if target == nil {
-			continue // closure check already reported it
-		}
-		for _, outPort := range sortedKeys(l.PortMap) {
-			inPort := l.PortMap[outPort]
-			up, ok := target.Output[outPort]
-			if !ok {
-				r.add(lint.CodePlanPort, "", inst.ID, "instance %q maps output %q of %q, which has no such value", inst.ID, outPort, l.Target)
-				continue
-			}
-			got, ok := inst.Input[inPort]
-			if !ok {
-				r.add(lint.CodePlanPort, "", inst.ID, "instance %q input %q was never filled from %q.%s", inst.ID, inPort, l.Target, outPort)
-				continue
-			}
-			if !got.Equal(up) {
-				r.add(lint.CodePlanPort, "", inst.ID, "instance %q input %q = %s differs from upstream %q.%s = %s",
-					inst.ID, inPort, got, l.Target, outPort, up)
-			}
+			continue // the checker reported it
 		}
 		for _, outPort := range sortedKeys(l.ReversePortMap) {
 			inPort := l.ReversePortMap[outPort]
 			down, ok := inst.Output[outPort]
 			if !ok {
-				r.add(lint.CodePlanPort, "", inst.ID, "instance %q reverse-maps output %q, which has no value", inst.ID, outPort)
+				r.add(diag.CodePlanPort, "", inst.ID, "instance %q reverse-maps output %q, which has no value", inst.ID, outPort)
 				continue
 			}
 			got, ok := target.Input[inPort]
 			if !ok {
-				r.add(lint.CodePlanPort, "", inst.ID, "instance %q input %q was never filled by the reverse map from %q", l.Target, inPort, inst.ID)
+				r.add(diag.CodePlanPort, "", inst.ID, "instance %q input %q was never filled by the reverse map from %q", l.Target, inPort, inst.ID)
 				continue
 			}
 			if !got.Equal(down) {
-				r.add(lint.CodePlanPort, "", inst.ID, "instance %q input %q = %s differs from reverse-mapped %q.%s = %s",
+				r.add(diag.CodePlanPort, "", inst.ID, "instance %q input %q = %s differs from reverse-mapped %q.%s = %s",
 					l.Target, inPort, got, inst.ID, outPort, down)
 			}
 		}
 	}
 }
 
-// checkDeclaredPorts re-evaluates config and output definitions.
-func checkDeclaredPorts(t *resource.Type, partial *spec.Partial, inst *spec.Instance, r *planReport) {
-	var overrides map[string]resource.Value
-	if partial != nil {
-		if pi, ok := partial.Find(inst.ID); ok {
-			overrides = pi.Config
-		}
-	}
+// checkDeclaredPorts re-evaluates config and output definitions. Config
+// ports equal their partial-specification override when one exists, and
+// their default expression otherwise; without the partial, config values
+// that diverge from their default cannot be told apart from overrides,
+// so only missing values are reported.
+func checkDeclaredPorts(t *resource.Type, withPartial bool, overrides map[string]resource.Value, inst *spec.Instance, r *planReport) {
 	scope := resource.MapScope{Inputs: inst.Input, Configs: inst.Config}
 	for _, p := range t.Config {
 		got, present := inst.Config[p.Name]
 		if !present {
-			r.add(lint.CodePlanPort, p.Origin, inst.ID, "instance %q has no value for config port %q", inst.ID, p.Name)
+			r.add(diag.CodePlanPort, p.Origin, inst.ID, "instance %q has no value for config port %q", inst.ID, p.Name)
 			continue
 		}
 		if ov, overridden := overrides[p.Name]; overridden {
 			if !got.Equal(ov) {
-				r.add(lint.CodePlanPort, p.Origin, inst.ID, "instance %q config %q = %s ignores the specification override %s",
+				r.add(diag.CodePlanPort, p.Origin, inst.ID, "instance %q config %q = %s ignores the specification override %s",
 					inst.ID, p.Name, got, ov)
 			}
 			continue
 		}
-		if partial == nil || p.Def == nil {
+		if !withPartial || p.Def == nil {
 			// Without the partial an off-default value may be a legitimate
 			// override; without a default there is nothing to compare.
 			continue
 		}
 		want, err := evalPort(p, scope)
 		if err != nil {
-			r.add(lint.CodePlanPort, p.Origin, inst.ID, "instance %q config %q: %v", inst.ID, p.Name, err)
+			r.add(diag.CodePlanPort, p.Origin, inst.ID, "instance %q config %q: %v", inst.ID, p.Name, err)
 			continue
 		}
 		if !got.Equal(want) {
-			r.add(lint.CodePlanPort, p.Origin, inst.ID, "instance %q config %q = %s differs from its re-derived default %s",
+			r.add(diag.CodePlanPort, p.Origin, inst.ID, "instance %q config %q = %s differs from its re-derived default %s",
 				inst.ID, p.Name, got, want)
 		}
 	}
 	for _, p := range t.Output {
 		got, present := inst.Output[p.Name]
 		if !present {
-			r.add(lint.CodePlanPort, p.Origin, inst.ID, "instance %q has no value for output port %q", inst.ID, p.Name)
+			r.add(diag.CodePlanPort, p.Origin, inst.ID, "instance %q has no value for output port %q", inst.ID, p.Name)
 			continue
 		}
 		want, err := evalPort(p, scope)
 		if err != nil {
-			r.add(lint.CodePlanPort, p.Origin, inst.ID, "instance %q output %q: %v", inst.ID, p.Name, err)
+			r.add(diag.CodePlanPort, p.Origin, inst.ID, "instance %q output %q: %v", inst.ID, p.Name, err)
 			continue
 		}
 		if !got.Equal(want) {
-			r.add(lint.CodePlanPort, p.Origin, inst.ID, "instance %q output %q = %s differs from its re-derived value %s",
+			r.add(diag.CodePlanPort, p.Origin, inst.ID, "instance %q output %q = %s differs from its re-derived value %s",
 				inst.ID, p.Name, got, want)
 		}
 	}
@@ -328,38 +165,12 @@ func evalPort(p resource.Port, scope resource.MapScope) (resource.Value, error) 
 	return p.Def.Eval(scope)
 }
 
-// checkNoUndeclared flags values for ports the type does not declare.
-func checkNoUndeclared(t *resource.Type, inst *spec.Instance, r *planReport) {
-	report := func(sec resource.Section, name, label string) {
-		if _, ok := t.FindPort(sec, name); !ok {
-			r.add(lint.CodePlanPort, t.Origin, inst.ID, "instance %q carries a value for undeclared %s port %q", inst.ID, label, name)
-		}
-	}
-	for _, name := range sortedValueKeys(inst.Config) {
-		report(resource.SecConfig, name, "config")
-	}
-	for _, name := range sortedValueKeys(inst.Input) {
-		report(resource.SecInput, name, "input")
-	}
-	for _, name := range sortedValueKeys(inst.Output) {
-		report(resource.SecOutput, name, "output")
-	}
-}
-
-func sortedKeys(m map[string]string) []string {
+// sortedKeys returns a map's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m { //engage:maporder — collected then sorted below
 		out = append(out, k)
 	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedValueKeys(m map[string]resource.Value) []string {
-	out := make([]string, 0, len(m))
-	for k := range m { //engage:maporder — collected then sorted below
-		out = append(out, k)
-	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }

@@ -1,11 +1,16 @@
 package certify_test
 
 import (
+	"maps"
+	"slices"
+	"strings"
 	"testing"
 
 	"engage/internal/certify"
 	"engage/internal/config"
+	"engage/internal/library"
 	"engage/internal/lint"
+	"engage/internal/packager"
 	"engage/internal/resource"
 	"engage/internal/spec"
 	"engage/internal/stack"
@@ -46,6 +51,190 @@ func TestCheckPlanAcceptsEngineOutput(t *testing.T) {
 	// invariants cleanly.
 	if diags := certify.CheckPlan(reg, nil, full); len(diags) != 0 {
 		t.Fatalf("engine output refuted without partial: %v", diags)
+	}
+
+	// Every other engine answer the tests hold: both OpenMRS
+	// alternatives, each Table 1 application on the bundled library, and
+	// the sharing cases where the checker's rules and GraphGen's
+	// first-match resolution could part (DESIGN.md §4): two same-key
+	// instances on one machine, and a peer dependency with a matching
+	// instance on every machine.
+	type answer struct {
+		name    string
+		reg     *resource.Registry
+		partial *spec.Partial
+	}
+	var answers []answer
+	alts, err := config.New(reg).Alternatives(partial, 0)
+	if err != nil || len(alts) != 2 {
+		t.Fatalf("OpenMRS alternatives: %d, %v", len(alts), err)
+	}
+	for i, alt := range alts {
+		if diags := certify.CheckPlan(reg, partial, alt); len(diags) != 0 {
+			t.Errorf("alternative %d refuted: %v", i, diags)
+		}
+	}
+	twoJREs := withInstances(t, &spec.PartialInstance{ID: "jre-a", Key: resource.MakeKey("JRE", "1.6"), Inside: "server"},
+		&spec.PartialInstance{ID: "jre-b", Key: resource.MakeKey("JRE", "1.6"), Inside: "server"})
+	twoDBs := withInstances(t, &spec.PartialInstance{ID: "db-far", Key: resource.MakeKey("MySQL", "5.1"), Inside: "far"},
+		&spec.PartialInstance{ID: "far", Key: resource.MakeKey("Mac-OSX", "10.6")},
+		&spec.PartialInstance{ID: "db-near", Key: resource.MakeKey("MySQL", "5.1"), Inside: "server"})
+	answers = append(answers, answer{"two JREs on one machine", reg, twoJREs}, answer{"a MySQL on every machine", reg, twoDBs})
+	lib, err := library.Registry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range library.TableOneApps() {
+		arch, err := packager.Package(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		areg, _, err := library.WithApp(lib, library.Drivers(), arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := library.DeployConfig{
+			OS:        resource.MakeKey("Ubuntu", "12.04"),
+			WebServer: resource.MakeKey("Gunicorn", "0.13"),
+			Database:  resource.MakeKey("MySQL", "5.1"),
+			Celery:    true, Redis: true, Memcached: true, Monit: true,
+		}
+		if arch.Manifest.DatabaseEngine == "sqlite" {
+			cfg.Database = resource.MakeKey("SQLite", "3.7")
+		}
+		answers = append(answers, answer{app.Name, areg, cfg.Partial(arch.Manifest)})
+	}
+	for _, a := range answers {
+		for _, p := range []int{0, 1} {
+			eng := config.New(a.reg)
+			eng.Parallelism = p
+			full, err := eng.Configure(a.partial)
+			if err != nil {
+				t.Fatalf("%s at P=%d: %v", a.name, p, err)
+			}
+			if diags := certify.CheckPlan(a.reg, a.partial, full); len(diags) != 0 {
+				t.Errorf("%s at P=%d refuted: %v", a.name, p, diags)
+			}
+			if diags := certify.CheckPlan(a.reg, nil, full); len(diags) != 0 {
+				t.Errorf("%s at P=%d refuted without partial: %v", a.name, p, diags)
+			}
+		}
+	}
+}
+
+// withInstances returns the Fig. 2 partial with extra instances.
+func withInstances(t *testing.T, extra ...*spec.PartialInstance) *spec.Partial {
+	t.Helper()
+	p, err := testlib.Fig2Partial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Instances = append(p.Instances, extra...)
+	return p
+}
+
+// TestCheckPlanCorruptions: one corruption of an engine answer per rule
+// of the checker, each drawing its code with its rule's message.
+func TestCheckPlanCorruptions(t *testing.T) {
+	// The base answer is Fig. 2 with an idle second machine, where an
+	// environment dependency can be moved to the wrong machine.
+	base := func(t *testing.T) (*resource.Registry, *spec.Partial, *spec.Full) {
+		reg, err := testlib.OpenMRSRegistry()
+		if err != nil {
+			t.Fatal(err)
+		}
+		partial := withInstances(t, &spec.PartialInstance{ID: "server2", Key: resource.MakeKey("Mac-OSX", "10.6")})
+		for _, pi := range partial.Instances {
+			if pi.ID == "server" {
+				pi.Config["hostname"] = resource.Str("db.example")
+			}
+		}
+		full, err := config.New(reg).Configure(partial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diags := certify.CheckPlan(reg, partial, full); len(diags) != 0 {
+			t.Fatalf("base answer refuted: %v", diags)
+		}
+		return reg, partial, full
+	}
+	// java returns the Java runtime the answer deployed (JDK or JRE).
+	java := func(full *spec.Full) *spec.Instance {
+		for _, inst := range full.Instances {
+			if inst.Key.Name == "JDK" || inst.Key.Name == "JRE" {
+				return inst
+			}
+		}
+		panic("no Java runtime deployed")
+	}
+	// twin copies an instance under a new id.
+	twin := func(inst *spec.Instance, id string) *spec.Instance {
+		c := *inst
+		c.ID = id
+		c.Config, c.Output = maps.Clone(inst.Config), maps.Clone(inst.Output)
+		c.Deps = slices.Clone(inst.Deps)
+		return &c
+	}
+	for _, row := range []struct {
+		name, code, fragment string
+		corrupt              func(full *spec.Full)
+	}{
+		{"an extra unlinked JRE beside the linked JDK", lint.CodePlanConstraint, "found 2 of", func(full *spec.Full) {
+			other := twin(java(full), "other-java")
+			other.Key = resource.MakeKey("JDK", "1.6")
+			if java(full).Key.Name == "JDK" {
+				other.Key = resource.MakeKey("JRE", "1.6")
+			}
+			full.Instances = append(full.Instances, other)
+		}},
+		{"a dropped partial instance", lint.CodePlanConstraint, `specified instance "openmrs" is missing`, func(full *spec.Full) {
+			full.Instances = slices.DeleteFunc(full.Instances, func(inst *spec.Instance) bool { return inst.ID == "openmrs" })
+		}},
+		{"a partial instance with another key", lint.CodePlanConstraint, "the specification pins", func(full *spec.Full) {
+			full.MustFind("server2").Key = resource.MakeKey("Windows-XP", "")
+		}},
+		{"a reverted override", lint.CodePlanPort, "ignores the specification override", func(full *spec.Full) {
+			full.MustFind("server").Config["hostname"] = resource.Str("localhost")
+		}},
+		{"an unreachable extra instance", lint.CodePlanConstraint, `"mysql-2" is not reachable`, func(full *spec.Full) {
+			db := full.Instances[slices.IndexFunc(full.Instances, func(inst *spec.Instance) bool { return inst.Key.Name == "MySQL" })]
+			db2 := twin(db, "mysql-2")
+			db2.Config["port"] = resource.PortV(3307)
+			db2.Output["mysql"] = resource.StructV(map[string]resource.Value{"host": resource.Str("localhost"), "port": resource.PortV(3307)})
+			full.Instances = append(full.Instances, db2)
+		}},
+		{"an environment link to another machine", lint.CodePlanConstraint, "must be on the same machine", func(full *spec.Full) {
+			j := java(full)
+			j.Inside, j.Machine = "server2", "server2"
+			for i := range j.Deps {
+				if j.Deps[i].Class == resource.DepInside {
+					j.Deps[i].Target = "server2"
+				}
+			}
+		}},
+		{"a blank recorded machine", lint.CodePlanClosure, `recorded machine ""`, func(full *spec.Full) {
+			full.MustFind("openmrs").Machine = ""
+		}},
+		{"a link to a non-subtype", lint.CodePlanConstraint, "no link satisfying peer dependency", func(full *spec.Full) {
+			om := full.MustFind("openmrs")
+			for i := range om.Deps {
+				if om.Deps[i].Class == resource.DepPeer {
+					om.Deps[i].Target = java(full).ID
+				}
+			}
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			reg, partial, full := base(t)
+			row.corrupt(full)
+			diags := certify.CheckPlan(reg, partial, full)
+			for _, d := range diags {
+				if d.Code == row.code && strings.Contains(d.Message, row.fragment) {
+					return
+				}
+			}
+			t.Errorf("want a %s finding containing %q, got %v", row.code, row.fragment, diags)
+		})
 	}
 }
 

@@ -8,10 +8,8 @@ package certify
 // daemon PIDs are still running.
 
 import (
-	"sort"
-
-	"engage/internal/lint"
-	"engage/internal/stack"
+	"engage/internal/diag"
+	"engage/internal/stack/record"
 )
 
 // CheckStack verifies a stack record's binding invariants. The running
@@ -20,13 +18,13 @@ import (
 // is known dead; absent means unobserved and is not judged); nil skips
 // liveness entirely. Findings are plan-binding lint diagnostics; an
 // empty result certifies the record.
-func CheckStack(st *stack.Stack, running map[string]bool) []lint.Diagnostic {
+func CheckStack(st *record.Stack, running map[string]bool) []diag.Diagnostic {
 	r := &planReport{}
 	if st.Name == "" {
-		r.add(lint.CodePlanBinding, "", "", "stack record has no name")
+		r.add(diag.CodePlanBinding, "", "", "stack record has no name")
 	}
 	if st.Desired == nil {
-		r.add(lint.CodePlanBinding, "", st.Name, "stack %q has no desired specification", st.Name)
+		r.add(diag.CodePlanBinding, "", st.Name, "stack %q has no desired specification", st.Name)
 		return r.diags
 	}
 
@@ -41,44 +39,35 @@ func CheckStack(st *stack.Stack, running map[string]bool) []lint.Diagnostic {
 	for _, inst := range st.Desired.Instances {
 		b, ok := st.Bindings[inst.ID]
 		if !ok {
-			r.add(lint.CodePlanBinding, "", inst.ID, "instance %q has no binding in stack %q", inst.ID, st.Name)
+			r.add(diag.CodePlanBinding, "", inst.ID, "instance %q has no binding in stack %q", inst.ID, st.Name)
 			continue
 		}
 		bound[inst.ID] = true
 		if b.Instance != inst.ID {
-			r.add(lint.CodePlanBinding, "", inst.ID, "binding for %q names instance %q", inst.ID, b.Instance)
+			r.add(diag.CodePlanBinding, "", inst.ID, "binding for %q names instance %q", inst.ID, b.Instance)
 		}
 		if b.Machine != inst.Machine {
-			r.add(lint.CodePlanBinding, "", inst.ID, "instance %q is bound to machine %q but resolved to %q", inst.ID, b.Machine, inst.Machine)
+			r.add(diag.CodePlanBinding, "", inst.ID, "instance %q is bound to machine %q but resolved to %q", inst.ID, b.Machine, inst.Machine)
 		}
 		if !machines[b.Machine] {
-			r.add(lint.CodePlanBinding, "", inst.ID, "instance %q is bound to machine %q, which is not a machine of the stack", inst.ID, b.Machine)
+			r.add(diag.CodePlanBinding, "", inst.ID, "instance %q is bound to machine %q, which is not a machine of the stack", inst.ID, b.Machine)
 		}
-		if want := stack.ManifestPath(st.Name, inst.ID); b.ManifestPath != want {
-			r.add(lint.CodePlanBinding, "", inst.ID, "instance %q manifest path %q, want %q", inst.ID, b.ManifestPath, want)
+		if want := record.ManifestPath(st.Name, inst.ID); b.ManifestPath != want {
+			r.add(diag.CodePlanBinding, "", inst.ID, "instance %q manifest path %q, want %q", inst.ID, b.ManifestPath, want)
 		}
-		if want := stack.ManifestFor(inst); b.Manifest != want {
-			r.add(lint.CodePlanBinding, "", inst.ID, "instance %q manifest content diverges from the canonical rendering of its configuration", inst.ID)
+		if want := record.ManifestFor(inst); b.Manifest != want {
+			r.add(diag.CodePlanBinding, "", inst.ID, "instance %q manifest content diverges from the canonical rendering of its configuration", inst.ID)
 		}
 		if b.PID > 0 && running != nil {
 			if alive, observed := running[inst.ID]; observed && !alive {
-				r.add(lint.CodePlanBinding, "", inst.ID, "instance %q records daemon PID %d, which the monitor snapshot reports dead", inst.ID, b.PID)
+				r.add(diag.CodePlanBinding, "", inst.ID, "instance %q records daemon PID %d, which the monitor snapshot reports dead", inst.ID, b.PID)
 			}
 		}
 	}
-	for _, id := range sortedBindingKeys(st.Bindings) {
+	for _, id := range sortedKeys(st.Bindings) {
 		if !bound[id] {
-			r.add(lint.CodePlanBinding, "", id, "stack %q binds %q, which is not a desired instance", st.Name, id)
+			r.add(diag.CodePlanBinding, "", id, "stack %q binds %q, which is not a desired instance", st.Name, id)
 		}
 	}
 	return r.diags
-}
-
-func sortedBindingKeys(m map[string]stack.Binding) []string {
-	out := make([]string, 0, len(m))
-	for k := range m { //engage:maporder — collected then sorted below
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

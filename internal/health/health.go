@@ -274,14 +274,14 @@ func (c *Checker) advance(e *entry, ok bool) {
 		switch e.state {
 		case Suspect:
 			c.setState(e, Healthy, "probe round passed")
-		case Unhealthy:
-			e.succs = 1
-			c.setState(e, Recovering, "probe round passed")
-		case Recovering:
+		case Unhealthy, Recovering:
+			// Every failure zeroes succs, so this counts the clean streak.
 			e.succs++
 			if e.succs >= e.spec.SuccessThreshold {
 				e.succs = 0
 				c.setState(e, Healthy, "success threshold met")
+			} else if e.state == Unhealthy {
+				c.setState(e, Recovering, "probe round passed")
 			}
 		}
 		return

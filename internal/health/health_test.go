@@ -164,6 +164,35 @@ func TestFlapDamping(t *testing.T) {
 	}
 }
 
+// TestRecoveryTakesExactlySuccessThresholdRounds: from Unhealthy, an
+// instance is Healthy after exactly SuccessThreshold clean rounds and
+// Recovering before that, for every threshold.
+func TestRecoveryTakesExactlySuccessThresholdRounds(t *testing.T) {
+	for threshold := 1; threshold <= 4; threshold++ {
+		w, m, p := world(t)
+		c := NewChecker(w.Clock)
+		src := &flaky{}
+		c.Source = src
+		spec := testSpec()
+		spec.SuccessThreshold = threshold
+		track(c, m, p.PID, spec)
+		c.Tick() // healthy
+		src.sick = true
+		if st := drive(t, w, c, spec.FailureThreshold); st != Unhealthy {
+			t.Fatalf("threshold %d: sick instance = %v, want unhealthy", threshold, st)
+		}
+		src.sick = false
+		for round := 1; round < threshold; round++ {
+			if st := drive(t, w, c, 1); st != Recovering {
+				t.Fatalf("threshold %d: clean round %d = %v, want recovering", threshold, round, st)
+			}
+		}
+		if st := drive(t, w, c, 1); st != Healthy {
+			t.Errorf("threshold %d: clean round %d = %v, want healthy", threshold, threshold, st)
+		}
+	}
+}
+
 func TestMarkSuspectReentersSchedule(t *testing.T) {
 	w, m, p := world(t)
 	c := NewChecker(w.Clock)

@@ -6,34 +6,6 @@ import (
 	"io"
 )
 
-// MarshalJSON renders the severity as its name.
-func (s Severity) MarshalJSON() ([]byte, error) {
-	switch s {
-	case Info, Warning, Error:
-		return json.Marshal(s.String())
-	}
-	return nil, fmt.Errorf("lint: cannot marshal severity %d", int(s))
-}
-
-// UnmarshalJSON parses a severity name.
-func (s *Severity) UnmarshalJSON(data []byte) error {
-	var name string
-	if err := json.Unmarshal(data, &name); err != nil {
-		return err
-	}
-	switch name {
-	case "info":
-		*s = Info
-	case "warning":
-		*s = Warning
-	case "error":
-		*s = Error
-	default:
-		return fmt.Errorf("lint: unknown severity %q", name)
-	}
-	return nil
-}
-
 // reportJSON is the versioned on-the-wire envelope. The severity counts
 // are redundant with the diagnostics list; the reader recomputes and
 // cross-checks them.

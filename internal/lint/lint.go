@@ -31,6 +31,7 @@ import (
 	"sort"
 
 	"engage/internal/constraint"
+	"engage/internal/diag"
 	"engage/internal/hypergraph"
 	"engage/internal/resource"
 	"engage/internal/sat"
@@ -38,28 +39,20 @@ import (
 	"engage/internal/telemetry"
 )
 
-// Severity classifies a diagnostic.
-type Severity int
+// Severity, Diagnostic and the plan-* codes live in internal/diag, so
+// the checkers that report plan-* findings need not import lint (and
+// through it GraphGen and the encoder).
+type (
+	Severity   = diag.Severity
+	Diagnostic = diag.Diagnostic
+)
 
 // Severities, in increasing order of gravity.
 const (
-	Info Severity = iota
-	Warning
-	Error
+	Info    = diag.Info
+	Warning = diag.Warning
+	Error   = diag.Error
 )
-
-func (s Severity) String() string {
-	switch s {
-	case Info:
-		return "info"
-	case Warning:
-		return "warning"
-	case Error:
-		return "error"
-	default:
-		return fmt.Sprintf("severity(%d)", int(s))
-	}
-}
 
 // The diagnostic codes. Each code has a fixed severity (CodeSeverity);
 // DESIGN.md §10 documents them.
@@ -100,23 +93,11 @@ const (
 	// CodeNearConflict reports dependency targets that are individually
 	// infeasible although the specification as a whole is satisfiable.
 	CodeNearConflict = "near-conflict"
-	// CodePlanConstraint reports a resolved installation whose chosen
-	// instances violate a hyperedge constraint: a selected source whose
-	// dependency is not satisfied by exactly one selected target
-	// (internal/certify's solver-free plan verification).
-	CodePlanConstraint = "plan-constraint"
-	// CodePlanPort reports a resolved instance whose port values differ
-	// from an independent re-derivation of the propagation semantics.
-	CodePlanPort = "plan-port"
-	// CodePlanClosure reports a resolved installation that is not
-	// dependency-closed: an instance links to a target that is absent,
-	// or sits on a different machine than its container chain implies.
-	CodePlanClosure = "plan-closure"
-	// CodePlanBinding reports a stack record binding that violates its
-	// invariants: unknown instance, missing machine, malformed manifest
-	// path, stale manifest text, or a daemon PID the monitor snapshot
-	// says is dead.
-	CodePlanBinding = "plan-binding"
+	// The plan-* codes (internal/diag documents them).
+	CodePlanConstraint = diag.CodePlanConstraint
+	CodePlanPort       = diag.CodePlanPort
+	CodePlanClosure    = diag.CodePlanClosure
+	CodePlanBinding    = diag.CodePlanBinding
 )
 
 // codeSeverity fixes the severity of each code.
@@ -153,29 +134,6 @@ func Codes() []string {
 func CodeSeverity(code string) (Severity, bool) {
 	s, ok := codeSeverity[code]
 	return s, ok
-}
-
-// Diagnostic is one finding.
-type Diagnostic struct {
-	Code     string   `json:"code"`
-	Severity Severity `json:"severity"`
-	// Pos is the RDL source position ("file:line:col") of the subject,
-	// when the library was loaded from RDL sources; empty otherwise.
-	Pos string `json:"pos,omitempty"`
-	// Subject names what the diagnostic is about: a resource key or an
-	// instance ID.
-	Subject string `json:"subject,omitempty"`
-	Message string `json:"message"`
-}
-
-// String renders the diagnostic in compiler style:
-//
-//	lib.rdl:4:1: error[dead-resource] resource "Web 1.0" can never be deployed: ...
-func (d Diagnostic) String() string {
-	if d.Pos != "" {
-		return fmt.Sprintf("%s: %s[%s] %s", d.Pos, d.Severity, d.Code, d.Message)
-	}
-	return fmt.Sprintf("%s[%s] %s", d.Severity, d.Code, d.Message)
 }
 
 // Report is the outcome of a lint run.

@@ -240,7 +240,8 @@ func checkDep(reg *resource.Registry, t *resource.Type, cd resource.ClassedDep,
 
 	// Count this dependency's port-map range toward the exactly-once rule,
 	// and check the map against each alternative's output ports.
-	for outPort, inPort := range d.PortMap {
+	for _, outPort := range sortedKeys(nil, d.PortMap) {
+		inPort := d.PortMap[outPort]
 		if _, ok := mapped[inPort]; !ok {
 			report("type %q: %s dependency %s maps to undefined input port %q", key, cd.Class, d, inPort)
 			continue
@@ -264,7 +265,8 @@ func checkDep(reg *resource.Registry, t *resource.Type, cd resource.ClassedDep,
 	// is implied by sharing a single PortMap; existence was checked
 	// above). Additionally, reverse port maps must name static outputs
 	// of t and input ports of every alternative.
-	for outPort, depIn := range d.ReversePortMap {
+	for _, outPort := range sortedKeys(nil, d.ReversePortMap) {
+		depIn := d.ReversePortMap[outPort]
 		op, ok := t.FindPort(resource.SecOutput, outPort)
 		if !ok {
 			report("type %q: reverse port map names unknown output port %q", key, outPort)

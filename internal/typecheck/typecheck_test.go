@@ -525,6 +525,53 @@ func TestCheckSpecPortConflict(t *testing.T) {
 	}
 }
 
+func TestCheckSpecBlankMachine(t *testing.T) {
+	// The recorded machine is the inside chain's, never blank: CheckSpec
+	// and certify.CheckPlan run the same rule.
+	reg := openmrsRegistry(t)
+	f := openmrsFullSpec()
+	f.MustFind("tomcat").Machine = ""
+	err := CheckSpec(reg, f)
+	if err == nil || !strings.Contains(err.Error(), `recorded machine "" disagrees`) {
+		t.Errorf("blank machine should be reported: %v", err)
+	}
+}
+
+// TestCheckerMessagesDeterministic: findings from map-valued fields come
+// out in one order, so 50 calls give one message.
+func TestCheckerMessagesDeterministic(t *testing.T) {
+	reg := openmrsRegistry(t)
+	f := openmrsFullSpec()
+	om := f.MustFind("openmrs")
+	om.Config = map[string]resource.Value{"zeta": resource.Str("z"), "alpha": resource.Str("a"), "mid": resource.Str("m")}
+	om.Deps[1].PortMap = map[string]string{"java": "java", "ghost": "phantom", "shade": "spirit"}
+
+	lib := resource.NewRegistry()
+	mustAdd(t, lib, &resource.Type{Key: resource.MakeKey("Server", "")})
+	mustAdd(t, lib, &resource.Type{
+		Key: resource.MakeKey("App", "1"),
+		Inside: &resource.Dependency{
+			Alternatives:   []resource.Key{{Name: "Server"}},
+			PortMap:        map[string]string{"a": "x", "b": "y", "c": "z"},
+			ReversePortMap: map[string]string{"p": "q", "r": "s", "t": "u"},
+		},
+	})
+	for name, check := range map[string]func() error{
+		"CheckSpec":  func() error { return CheckSpec(reg, f) },
+		"CheckTypes": func() error { return CheckTypes(lib) },
+	} {
+		first := check()
+		if first == nil || strings.Count(first.Error(), "\n") < 2 {
+			t.Fatalf("%s: want several findings, got %v", name, first)
+		}
+		for i := 0; i < 50; i++ {
+			if got := check(); got.Error() != first.Error() {
+				t.Fatalf("%s: call %d differs:\n%v\nvs\n%v", name, i, got, first)
+			}
+		}
+	}
+}
+
 func TestCheckTypesInvalidExtension(t *testing.T) {
 	reg := resource.NewRegistry()
 	mustAdd(t, reg, &resource.Type{

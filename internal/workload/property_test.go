@@ -5,8 +5,10 @@ import (
 	"os"
 	"testing"
 
+	"engage/internal/certify"
 	"engage/internal/config"
 	"engage/internal/constraint"
+	"engage/internal/spec"
 	"engage/internal/typecheck"
 )
 
@@ -58,5 +60,43 @@ func TestConfigurePropertyCheckSpec(t *testing.T) {
 				t.Fatalf("CheckSpec on Configure output (%v): %v", shape, err)
 			}
 		})
+	}
+}
+
+// TestCheckPlanFleets: the specification checker finds nothing in the
+// engine's answers for the fleet ladder at seeds 1–3, with and without
+// the partial, at Parallelism 1 and, up to fleet250, also at 0 (their
+// models differ; the sequential front half is quadratic in fleet size).
+// fleet2000 runs outside -short.
+func TestCheckPlanFleets(t *testing.T) {
+	for _, sh := range FleetShapes() {
+		if sh.Name == "fleet5000" || (sh.Big && testing.Short()) {
+			continue
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			shape := sh.Spec
+			shape.Seed = seed
+			reg, partial, err := Generate(shape)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", sh.Name, seed, err)
+			}
+			for _, p := range []int{0, 1} {
+				if p == 0 && sh.Spec.Machines > 16 {
+					continue
+				}
+				eng := config.New(reg)
+				eng.Parallelism = p
+				full, err := eng.Configure(partial)
+				if err != nil {
+					t.Fatalf("%s seed %d P=%d: %v", sh.Name, seed, p, err)
+				}
+				for _, withPartial := range []*spec.Partial{partial, nil} {
+					if diags := certify.CheckPlan(reg, withPartial, full); len(diags) != 0 {
+						t.Errorf("%s seed %d P=%d (partial %v): %d findings, first %v",
+							sh.Name, seed, p, withPartial != nil, len(diags), diags[0])
+					}
+				}
+			}
+		}
 	}
 }

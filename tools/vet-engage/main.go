@@ -20,9 +20,9 @@
 //     (wallclockTestFiles), whose assertions must be counts or digests.
 //
 //   - maporder: the output-producing packages (internal/telemetry,
-//     lint, store, certify) promise deterministic output — traces,
-//     diagnostics, snapshots, and verification reports are diffed,
-//     hashed, and replayed. Go map iteration order is randomized, so a
+//     lint, store, certify, typecheck) promise deterministic output —
+//     traces, diagnostics, snapshots, and verification reports are
+//     diffed, hashed, and replayed. Go map iteration order is randomized, so a
 //     bare `for range` over a map in those packages is an error unless
 //     the line (or the line above it) carries an //engage:maporder
 //     comment asserting the iteration is order-independent (counting,
@@ -90,6 +90,7 @@ var maporderDirs = map[string]bool{
 	"internal/lint":      true,
 	"internal/store":     true,
 	"internal/certify":   true,
+	"internal/typecheck": true,
 }
 
 // wallclockTestFiles are the test files the wallclock check covers
