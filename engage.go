@@ -469,10 +469,10 @@ func DjangoPartial(cfg DeployConfig, man Manifest) *Partial { return cfg.Partial
 
 // LineCount reports the canonical rendered size of a specification in
 // lines, the metric behind the paper's spec-compaction numbers.
-func LineCount(f interface{ MarshalJSON() ([]byte, error) }) int { return spec.LineCount(f) }
+func LineCount(f spec.Document) int { return spec.LineCount(f) }
 
 // Render returns a specification's canonical JSON text.
-func Render(f interface{ MarshalJSON() ([]byte, error) }) (string, error) { return spec.Render(f) }
+func Render(f spec.Document) (string, error) { return spec.Render(f) }
 
 // EncodingFor returns a named exactly-one encoding ("pairwise" or
 // "ladder").

@@ -280,10 +280,7 @@ func (c *configured) encode() error {
 	if err != nil {
 		return err
 	}
-	answer, err := json.MarshalIndent(full, "  ", "  ")
-	if err != nil {
-		return err
-	}
+	answer := spec.MarshalIndent(full, "  ", "  ")
 	c.ps.answer, c.ps.instances = answer, len(full.Instances)
 	c.ps.lines = bytes.Count(answer, []byte("\n")) + 1
 	return nil
@@ -299,10 +296,7 @@ func (c *configured) encode() error {
 // discarded, never pooled again. lib is the request's library snapshot:
 // the key and any cold solve both read it.
 func (s *Server) withSession(lib *snapshot, p *spec.Partial, use func(c *configured) error) error {
-	key, err := requestKey(lib, p)
-	if err != nil {
-		return err
-	}
+	key := requestKey(lib, p)
 	ps := s.pool.Checkout(key)
 	ok := false
 	defer func() {
@@ -320,13 +314,14 @@ func (s *Server) withSession(lib *snapshot, p *spec.Partial, use func(c *configu
 		ps.Solves++
 	} else {
 		var sess *config.Session
+		var err error
 		if c.full, sess, c.solver, err = s.engine(lib).ConfigureSessionStats(p); err != nil {
 			return err
 		}
 		ps = &PooledSession{Key: key, Partial: p, Session: sess}
 	}
 	c.ps = ps
-	err = use(c)
+	err := use(c)
 	ok = err == nil
 	return err
 }

@@ -149,3 +149,21 @@ func testConfigureOracle(t *testing.T, tc oracleCase, parallelism int) {
 	}
 	check("hit after reconcile", true, 6)
 }
+
+// TestRequestKeysPinned: the pool keys of the oracle's partials, as the
+// encoding they hash was first written. A key that moves strands every
+// warm session a running server holds for that partial.
+func TestRequestKeysPinned(t *testing.T) {
+	want := map[string]string{
+		"choice":       "fc7bd7fc855f2093:8756a158abc48efb",
+		"openmrs-fig2": "bc764c9169fcbfc1:2e55ccf939f2d993",
+		"fleet250":     "ece00744036133dd:cb3a27615765f172",
+		"escaped":      "bc764c9169fcbfc1:5e93927e263b98ae",
+	}
+	for _, tc := range oracleCases(t) {
+		s := newServerOver(t, tc.reg, tc.drivers, 0)
+		if got := requestKey(s.lib.Load(), tc.partial); got != want[tc.name] {
+			t.Errorf("%s: key %s, want %s", tc.name, got, want[tc.name])
+		}
+	}
+}

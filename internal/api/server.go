@@ -310,12 +310,12 @@ func registryFingerprint(reg *resource.Registry) string {
 // requestKey fingerprints a configuration request: the request's
 // library snapshot plus the canonical encoding of the partial
 // specification. Requests that encode identically against one library
-// hit the same warm sessions.
-func requestKey(lib *snapshot, p *spec.Partial) (string, error) {
-	data, err := p.MarshalJSON()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return lib.fp + ":" + hex.EncodeToString(sum[:8]), nil
+// hit the same warm sessions. The hash reads the writer's buffer; the
+// encoding is not kept.
+func requestKey(lib *snapshot, p *spec.Partial) string {
+	w := spec.NewCompactWriter()
+	defer w.Release()
+	p.Encode(w)
+	sum := sha256.Sum256(w.Bytes())
+	return lib.fp + ":" + hex.EncodeToString(sum[:8])
 }

@@ -203,6 +203,38 @@ func (v Value) Type() PortType {
 	}
 }
 
+// AssignableTo reports whether v may flow into a port of type u:
+// v.Type().AssignableTo(u), without building v's type.
+func (v Value) AssignableTo(u PortType) bool {
+	if u.Kind == KindAny {
+		return true
+	}
+	switch {
+	case v.Kind == u.Kind:
+	case v.Kind == KindPort && u.Kind == KindInt,
+		v.Kind == KindInt && u.Kind == KindPort:
+	case v.Kind == KindString && u.Kind == KindSecret:
+	default:
+		return false
+	}
+	switch u.Kind {
+	case KindStruct:
+		for name, ft := range u.Fields {
+			f, ok := v.Fields[name]
+			if !ok || !f.AssignableTo(ft) {
+				return false
+			}
+		}
+	case KindList:
+		// A list's type is its first element's; an empty list's is
+		// unknown and fits any element type.
+		if u.Elem != nil && len(v.List) > 0 && !v.List[0].AssignableTo(*u.Elem) {
+			return false
+		}
+	}
+	return true
+}
+
 // Field returns the named field of a struct value.
 func (v Value) Field(name string) (Value, bool) {
 	if v.Kind != KindStruct {

@@ -222,3 +222,36 @@ func TestValueProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestValueAssignableToMatchesType: a value is assignable to a port
+// type exactly when its computed type is, over every pairing of a set
+// of values and port types that covers each kind, widening, width and
+// depth subtyping of structs, and empty and typed lists.
+func TestValueAssignableToMatchesType(t *testing.T) {
+	host := StructV(map[string]Value{"host": Str("h"), "port": PortV(80)})
+	vals := []Value{
+		Str("s"), SecretV("x"), IntV(1), PortV(8080), BoolV(true), {},
+		StructV(nil), host,
+		StructV(map[string]Value{"host": IntV(1)}),
+		StructV(map[string]Value{"db": host}),
+		ListV(), ListV(Str("a")), ListV(IntV(1), Str("b")), ListV(host), ListV(ListV(PortV(1))),
+	}
+	str, port := T(KindString), T(KindPort)
+	types := []PortType{
+		T(KindString), T(KindSecret), T(KindInt), T(KindPort), T(KindBool), T(KindAny), T(KindInvalid),
+		StructType(nil),
+		StructType(map[string]PortType{"host": str}),
+		StructType(map[string]PortType{"host": str, "port": T(KindInt)}),
+		StructType(map[string]PortType{"host": str, "user": str}),
+		StructType(map[string]PortType{"db": StructType(map[string]PortType{"port": port})}),
+		{Kind: KindList}, ListType(str), ListType(T(KindSecret)), ListType(T(KindAny)),
+		ListType(StructType(map[string]PortType{"port": T(KindInt)})), ListType(ListType(T(KindInt))),
+	}
+	for _, v := range vals {
+		for _, u := range types {
+			if got, want := v.AssignableTo(u), v.Type().AssignableTo(u); got != want {
+				t.Errorf("%v to %v: AssignableTo %v, Type().AssignableTo %v", v, u, got, want)
+			}
+		}
+	}
+}

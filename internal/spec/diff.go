@@ -47,7 +47,7 @@ func Diff(from, to *Full) Delta {
 			d.Kept = append(d.Kept, inst.ID)
 		}
 	}
-	for id := range oldByID {
+	for id := range oldByID { //engage:maporder — collected then sorted below
 		d.Removed = append(d.Removed, id)
 	}
 	for _, ids := range [][]string{d.Added, d.Removed, d.Changed, d.Reconfigured, d.Kept} {
@@ -66,12 +66,12 @@ func sameDeployment(a, b *Instance) bool {
 	if len(a.Config) != len(b.Config) || len(a.Input) != len(b.Input) || len(a.Deps) != len(b.Deps) {
 		return false
 	}
-	for k, v := range a.Config {
+	for k, v := range a.Config { //engage:maporder — an equality test; the answer does not depend on the order
 		if w, ok := b.Config[k]; !ok || !v.Equal(w) {
 			return false
 		}
 	}
-	for k, v := range a.Input {
+	for k, v := range a.Input { //engage:maporder — an equality test; the answer does not depend on the order
 		if w, ok := b.Input[k]; !ok || !v.Equal(w) {
 			return false
 		}

@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"engage/internal/resource"
 )
@@ -171,11 +170,112 @@ func (f *Full) Downstream() map[string][]string {
 
 // --- JSON encoding (Fig. 2 style) ---
 
+// Document is a value the Writer encodes: *Full, *Partial, or a stack
+// record.
+type Document interface {
+	// Encode writes the document to w.
+	Encode(w *Writer)
+}
+
+// Encode writes the partial specification as an array of instances;
+// a nil specification is null.
+func (p *Partial) Encode(w *Writer) {
+	if p == nil {
+		w.Null()
+		return
+	}
+	w.BeginArray()
+	for _, inst := range p.Instances {
+		w.Elem()
+		w.BeginObject()
+		w.Key("id")
+		w.String(inst.ID)
+		w.Key("key")
+		w.key(inst.Key)
+		w.inside(inst.Inside)
+		member(w, "config_port", inst.Config, (*Writer).Value)
+		w.EndObject()
+	}
+	w.EndArray()
+}
+
+// Encode writes the full specification as an array of instances; a nil
+// specification is null.
+func (f *Full) Encode(w *Writer) {
+	if f == nil {
+		w.Null()
+		return
+	}
+	w.BeginArray()
+	for _, inst := range f.Instances {
+		w.Elem()
+		w.BeginObject()
+		w.Key("id")
+		w.String(inst.ID)
+		w.Key("key")
+		w.key(inst.Key)
+		if inst.Machine != "" {
+			w.Key("machine")
+			w.String(inst.Machine)
+		}
+		w.inside(inst.Inside)
+		member(w, "config_port", inst.Config, (*Writer).Value)
+		member(w, "input_ports", inst.Input, (*Writer).Value)
+		member(w, "output_ports", inst.Output, (*Writer).Value)
+		if len(inst.Deps) > 0 {
+			w.Key("dependencies")
+			w.BeginArray()
+			for _, d := range inst.Deps {
+				w.Elem()
+				w.BeginObject()
+				w.Key("class")
+				w.String(d.Class.String())
+				w.Key("id")
+				w.String(d.Target)
+				member(w, "port_map", d.PortMap, (*Writer).String)
+				member(w, "reverse_port_map", d.ReversePortMap, (*Writer).String)
+				w.EndObject()
+			}
+			w.EndArray()
+		}
+		w.EndObject()
+	}
+	w.EndArray()
+}
+
+// Marshal returns what json.Marshal writes for d.
+func Marshal(d Document) []byte {
+	return copyOut(NewCompactWriter(), d)
+}
+
+// MarshalIndent returns what json.MarshalIndent(d, prefix, indent)
+// writes.
+func MarshalIndent(d Document, prefix, indent string) []byte {
+	return copyOut(NewWriter(prefix, indent), d)
+}
+
+// copyOut encodes d with w, releases w, and returns an exact-size copy
+// of the bytes: the reused buffer absorbs the growth.
+func copyOut(w *Writer, d Document) []byte {
+	defer w.Release()
+	d.Encode(w)
+	return bytes.Clone(w.Bytes())
+}
+
+// MarshalJSON implements json.Marshaler for Partial.
+func (p *Partial) MarshalJSON() ([]byte, error) { return Marshal(p), nil }
+
+// MarshalJSON implements json.Marshaler for Full.
+func (f *Full) MarshalJSON() ([]byte, error) { return Marshal(f), nil }
+
+// The decoding forms of the JSON encoding; Encode writes the same
+// shape directly.
+
 type partialInstanceJSON struct {
 	ID     string         `json:"id"`
 	Key    string         `json:"key"`
-	Inside *linkJSON      `json:"inside,omitempty"`
-	Config map[string]any `json:"config_port,omitempty"`
+	Inside *linkJSON      `json:"inside"`
+	Config map[string]any `json:"config_port"`
 }
 
 type linkJSON struct {
@@ -185,35 +285,19 @@ type linkJSON struct {
 type depLinkJSON struct {
 	Class          string            `json:"class"`
 	Target         string            `json:"id"`
-	PortMap        map[string]string `json:"port_map,omitempty"`
-	ReversePortMap map[string]string `json:"reverse_port_map,omitempty"`
+	PortMap        map[string]string `json:"port_map"`
+	ReversePortMap map[string]string `json:"reverse_port_map"`
 }
 
 type instanceJSON struct {
 	ID      string         `json:"id"`
 	Key     string         `json:"key"`
-	Machine string         `json:"machine,omitempty"`
-	Inside  *linkJSON      `json:"inside,omitempty"`
-	Config  map[string]any `json:"config_port,omitempty"`
-	Input   map[string]any `json:"input_ports,omitempty"`
-	Output  map[string]any `json:"output_ports,omitempty"`
-	Deps    []depLinkJSON  `json:"dependencies,omitempty"`
-}
-
-// MarshalJSON implements json.Marshaler for Partial.
-func (p *Partial) MarshalJSON() ([]byte, error) {
-	out := make([]partialInstanceJSON, len(p.Instances))
-	for i, inst := range p.Instances {
-		out[i] = partialInstanceJSON{
-			ID:     inst.ID,
-			Key:    inst.Key.String(),
-			Config: valuesToJSON(inst.Config),
-		}
-		if inst.Inside != "" {
-			out[i].Inside = &linkJSON{ID: inst.Inside}
-		}
-	}
-	return json.Marshal(out)
+	Machine string         `json:"machine"`
+	Inside  *linkJSON      `json:"inside"`
+	Config  map[string]any `json:"config_port"`
+	Input   map[string]any `json:"input_ports"`
+	Output  map[string]any `json:"output_ports"`
+	Deps    []depLinkJSON  `json:"dependencies"`
 }
 
 // UnmarshalJSON implements json.Unmarshaler for Partial.
@@ -242,34 +326,6 @@ func (p *Partial) UnmarshalJSON(data []byte) error {
 		p.Instances = append(p.Instances, inst)
 	}
 	return nil
-}
-
-// MarshalJSON implements json.Marshaler for Full.
-func (f *Full) MarshalJSON() ([]byte, error) {
-	out := make([]instanceJSON, len(f.Instances))
-	for i, inst := range f.Instances {
-		ij := instanceJSON{
-			ID:      inst.ID,
-			Key:     inst.Key.String(),
-			Machine: inst.Machine,
-			Config:  valuesToJSON(inst.Config),
-			Input:   valuesToJSON(inst.Input),
-			Output:  valuesToJSON(inst.Output),
-		}
-		if inst.Inside != "" {
-			ij.Inside = &linkJSON{ID: inst.Inside}
-		}
-		for _, d := range inst.Deps {
-			ij.Deps = append(ij.Deps, depLinkJSON{
-				Class:          d.Class.String(),
-				Target:         d.Target,
-				PortMap:        d.PortMap,
-				ReversePortMap: d.ReversePortMap,
-			})
-		}
-		out[i] = ij
-	}
-	return json.Marshal(out)
 }
 
 // UnmarshalJSON implements json.Unmarshaler for Full.
@@ -331,27 +387,19 @@ func (f *Full) UnmarshalJSON(data []byte) error {
 // counts its lines. The paper reports specification sizes in lines
 // (e.g., OpenMRS: partial 22 lines, full 204 lines); this is the metric
 // behind experiments E1, E6, E8, and E10.
-func LineCount(v json.Marshaler) int {
-	raw, err := v.MarshalJSON()
-	if err != nil {
-		return 0
-	}
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, raw, "", "  "); err != nil {
-		return 0
-	}
-	return strings.Count(buf.String(), "\n") + 1
+func LineCount(d Document) int {
+	w := NewWriter("", "  ")
+	defer w.Release()
+	d.Encode(w)
+	return bytes.Count(w.Bytes(), []byte("\n")) + 1
 }
 
-// Render returns the canonical indented JSON form of a specification.
-func Render(v json.Marshaler) (string, error) {
-	raw, err := v.MarshalJSON()
-	if err != nil {
-		return "", err
-	}
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, raw, "", "  "); err != nil {
-		return "", err
-	}
-	return buf.String(), nil
+// Render returns the canonical indented JSON form of a specification,
+// json.MarshalIndent(d, "", "  "). It never fails; the error is there
+// for the callers that pass it on.
+func Render(d Document) (string, error) {
+	w := NewWriter("", "  ")
+	defer w.Release()
+	d.Encode(w)
+	return string(w.Bytes()), nil
 }

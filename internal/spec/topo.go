@@ -162,7 +162,7 @@ func (f *Full) MachineOrder() ([]string, error) {
 	for ready.Len() > 0 {
 		m := heap.Pop(ready).(string)
 		out = append(out, m)
-		for n := range edges[m] {
+		for n := range edges[m] { //engage:maporder — pushes onto a heap ordered by id, which fixes the pop order
 			indeg[n]--
 			if indeg[n] == 0 {
 				heap.Push(ready, n)

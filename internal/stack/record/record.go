@@ -51,11 +51,77 @@ type Stack struct {
 	Bindings map[string]Binding `json:"bindings"`
 }
 
-// WriteJSON renders the record as indented JSON.
-func (s *Stack) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+// Encode writes the record as encoding/json writes Stack's fields: the
+// desired specification and each value in it through the spec writer,
+// the bindings sorted by instance; a nil record is null.
+func (s *Stack) Encode(w *spec.Writer) {
+	if s == nil {
+		w.Null()
+		return
+	}
+	w.BeginObject()
+	w.Key("name")
+	w.String(s.Name)
+	w.Key("version")
+	w.Int(int64(s.Version))
+	w.Key("desired")
+	s.Desired.Encode(w)
+	w.Key("bindings")
+	if s.Bindings == nil {
+		w.Null()
+	} else {
+		spec.WriteMap(w, s.Bindings, encodeBinding)
+	}
+	w.EndObject()
+}
+
+// encodeBinding writes b as encoding/json writes its fields.
+func encodeBinding(w *spec.Writer, b Binding) {
+	w.BeginObject()
+	w.Key("instance")
+	w.String(b.Instance)
+	w.Key("machine")
+	w.String(b.Machine)
+	if b.ProcName != "" {
+		w.Key("proc")
+		w.String(b.ProcName)
+	}
+	if b.Command != "" {
+		w.Key("command")
+		w.String(b.Command)
+	}
+	if b.PID != 0 {
+		w.Key("pid")
+		w.Int(int64(b.PID))
+	}
+	if len(b.Ports) > 0 {
+		w.Key("ports")
+		w.BeginArray()
+		for _, p := range b.Ports {
+			w.Elem()
+			w.Int(int64(p))
+		}
+		w.EndArray()
+	}
+	w.Key("manifest_path")
+	w.String(b.ManifestPath)
+	w.Key("manifest")
+	w.String(b.Manifest)
+	w.EndObject()
+}
+
+// MarshalJSON implements json.Marshaler for Stack.
+func (s *Stack) MarshalJSON() ([]byte, error) { return spec.Marshal(s), nil }
+
+// WriteJSON renders the record as indented JSON, with a newline after
+// it.
+func (s *Stack) WriteJSON(out io.Writer) error {
+	w := spec.NewWriter("", "  ")
+	defer w.Release()
+	s.Encode(w)
+	w.Newline()
+	_, err := out.Write(w.Bytes())
+	return err
 }
 
 // Read parses a record written by WriteJSON.
@@ -91,7 +157,7 @@ func (s *Stack) Clone() *Stack {
 	}
 	if s.Bindings != nil {
 		c.Bindings = make(map[string]Binding, len(s.Bindings))
-		for id, b := range s.Bindings {
+		for id, b := range s.Bindings { //engage:maporder — builds a map
 			b.Ports = slices.Clone(b.Ports)
 			c.Bindings[id] = b
 		}
@@ -117,7 +183,7 @@ func cloneValues(m map[string]resource.Value) map[string]resource.Value {
 		return nil
 	}
 	c := make(map[string]resource.Value, len(m))
-	for k, v := range m {
+	for k, v := range m { //engage:maporder — builds a map
 		c[k] = cloneValue(v)
 	}
 	return c

@@ -20,6 +20,7 @@ import (
 	"sort"
 	"sync"
 
+	"engage/internal/spec"
 	"engage/internal/stack"
 )
 
@@ -44,14 +45,14 @@ type Record struct {
 }
 
 // Body returns the stack's JSON encoding at the depth it sits at in a
-// GET /v1/stacks/{name} response, json.MarshalIndent(Stack, "  ", "  "):
-// "null" for a record without a stack. The bytes are shared; callers
-// must not modify them.
+// GET /v1/stacks/{name} response, as json.MarshalIndent(Stack, "  ",
+// "  ") writes it: "null" for a record without a stack. The bytes are
+// shared; callers must not modify them.
 func (r Record) Body() []byte { return r.body }
 
 // encodeStack is a record body for st.
-func encodeStack(st *stack.Stack) ([]byte, error) {
-	return json.MarshalIndent(st, "  ", "  ")
+func encodeStack(st *stack.Stack) []byte {
+	return spec.MarshalIndent(st, "  ", "  ")
 }
 
 // ConflictError reports a compare-and-swap whose expected version no
@@ -131,10 +132,7 @@ func (s *Store) List() []Record {
 // Clone of a live one), and the record's body is encoded before the
 // lock is taken.
 func (s *Store) CompareAndSwap(name string, expect int64, status string, st *stack.Stack) (Record, error) {
-	body, err := encodeStack(st)
-	if err != nil {
-		return Record{}, err
-	}
+	body := encodeStack(st)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	have := s.recs[name].Version
@@ -161,27 +159,55 @@ func (s *Store) Delete(name string, expect int64) error {
 
 // fileJSON is the flush format: records sorted by name plus the global
 // sequence, so a restarted server resumes CAS tokens exactly where the
-// previous one stopped.
+// previous one stopped. WriteJSON writes it field by field.
 type fileJSON struct {
 	Seq     int64    `json:"seq"`
 	Records []Record `json:"records"`
 }
 
-// WriteJSON flushes the whole store as indented JSON. Each record's
-// stack round-trips through the same spec/stack marshaling the CLI's
-// `stack apply -state` file uses, so a single record extracted from the
-// flush is readable by stack.ReadStack.
-func (s *Store) WriteJSON(w io.Writer) error {
+// WriteJSON flushes the whole store as indented JSON, with a newline
+// after it. Each record's stack is written by the same writer as the
+// CLI's `stack apply -state` file, so a single record extracted from
+// the flush is readable by stack.ReadStack.
+func (s *Store) WriteJSON(out io.Writer) error {
 	s.mu.RLock()
-	out := fileJSON{Seq: s.seq, Records: make([]Record, 0, len(s.recs))}
+	seq, recs := s.seq, make([]Record, 0, len(s.recs))
 	for _, r := range s.recs { //engage:maporder — collected then sorted below
-		out.Records = append(out.Records, r)
+		recs = append(recs, r)
 	}
 	s.mu.RUnlock()
-	sort.Slice(out.Records, func(i, j int) bool { return out.Records[i].Name < out.Records[j].Name })
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Name < recs[j].Name })
+	w := spec.NewWriter("", "  ")
+	defer w.Release()
+	w.BeginObject()
+	w.Key("seq")
+	w.Int(seq)
+	w.Key("records")
+	w.BeginArray()
+	for _, r := range recs {
+		w.Elem()
+		w.BeginObject()
+		w.Key("name")
+		w.String(r.Name)
+		w.Key("version")
+		w.Int(r.Version)
+		w.Key("seq")
+		w.Int(r.Seq)
+		if r.Status != "" {
+			w.Key("status")
+			w.String(r.Status)
+		}
+		if r.Stack != nil {
+			w.Key("stack")
+			r.Stack.Encode(w)
+		}
+		w.EndObject()
+	}
+	w.EndArray()
+	w.EndObject()
+	w.Newline()
+	_, err := out.Write(w.Bytes())
+	return err
 }
 
 // ReadStore parses a flush written by WriteJSON and encodes each
@@ -200,11 +226,7 @@ func ReadStore(r io.Reader) (*Store, error) {
 		if rec.Version <= 0 {
 			return nil, fmt.Errorf("store: record %q has non-positive version %d", rec.Name, rec.Version)
 		}
-		body, err := encodeStack(rec.Stack)
-		if err != nil {
-			return nil, fmt.Errorf("store: record %q: %v", rec.Name, err)
-		}
-		rec.body = body
+		rec.body = encodeStack(rec.Stack)
 		s.recs[rec.Name] = rec
 	}
 	return s, nil

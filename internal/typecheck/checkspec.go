@@ -326,7 +326,7 @@ func (c *checker) checkValues(inst *spec.Instance, section string, ports []resou
 			continue
 		}
 		declared++
-		if typed && !v.Type().AssignableTo(p.Type) {
+		if typed && !v.AssignableTo(p.Type) {
 			c.add(diag.CodePlanPort, inst.ID, "instance %q: %s port %q: %s not assignable to %s", inst.ID, section, p.Name, v.Type(), p.Type)
 		}
 	}

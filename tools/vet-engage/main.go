@@ -86,11 +86,13 @@ var wallclockDirs = map[string]bool{
 // maporderDirs are the output-producing packages whose emissions must
 // be deterministic.
 var maporderDirs = map[string]bool{
-	"internal/telemetry": true,
-	"internal/lint":      true,
-	"internal/store":     true,
-	"internal/certify":   true,
-	"internal/typecheck": true,
+	"internal/telemetry":    true,
+	"internal/lint":         true,
+	"internal/store":        true,
+	"internal/certify":      true,
+	"internal/typecheck":    true,
+	"internal/spec":         true,
+	"internal/stack/record": true,
 }
 
 // wallclockTestFiles are the test files the wallclock check covers
