@@ -29,6 +29,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"engage/internal/config"
@@ -182,13 +183,14 @@ func writeConfigureError(w http.ResponseWriter, err error) {
 // small enough that no client can make the server buffer without bound.
 const maxBody = 4 << 20
 
-// decodeBody parses a JSON request body into v, mapping failure to the
-// 400 contract and a body over maxBody to 413. The empty-interface
-// indirection keeps the malformed-JSON behavior identical across
-// endpoints.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	if err := dec.Decode(v); err != nil {
+// decodeBody reads a request body, capped at maxBody, and decodes it
+// into v through the spec reader in one pass, mapping a body over the
+// cap to 413 and any other failure (malformed JSON, anything after the
+// value, a bad specification) to the 400 contract.
+func decodeBody(w http.ResponseWriter, r *http.Request, v spec.Decodable) bool {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer putBody(buf)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, "too_large",
@@ -199,7 +201,25 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 			fmt.Sprintf("malformed request body: %v", err), nil)
 		return false
 	}
+	if err := spec.ReadRequest(buf.Bytes(), v); err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request",
+			fmt.Sprintf("malformed request body: %v", err), nil)
+		return false
+	}
 	return true
+}
+
+// bodies holds request body buffers for reuse; what a body decodes to
+// never points into its buffer.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// putBody returns a buffer to the pool, unless an archive-sized body
+// grew it.
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= 64<<10 {
+		buf.Reset()
+		bodies.Put(buf)
+	}
 }
 
 // solverStats is sat.Stats in the response schema.
@@ -227,6 +247,20 @@ type configureRequest struct {
 	// Parallel additionally deploys independent instances concurrently
 	// in virtual time (deploy only).
 	Parallel bool `json:"parallel,omitempty"`
+}
+
+var configureFields = []string{"partial", "parallel"}
+
+// DecodeJSON implements spec.Decodable.
+func (req *configureRequest) DecodeJSON(r *spec.Reader) {
+	r.Object("api.configureRequest", configureFields, func(field string) {
+		switch field {
+		case "partial":
+			r.Partial(&req.Partial)
+		case "parallel":
+			r.Bool(&req.Parallel)
+		}
+	})
 }
 
 // configureTail is what a configure response carries after "full".
@@ -444,6 +478,13 @@ type lintRequest struct {
 	Partial *spec.Partial `json:"partial"`
 }
 
+var lintFields = []string{"partial"}
+
+// DecodeJSON implements spec.Decodable.
+func (req *lintRequest) DecodeJSON(r *spec.Reader) {
+	r.Object("api.lintRequest", lintFields, func(string) { r.Partial(&req.Partial) })
+}
+
 func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	var req lintRequest
 	if !decodeBody(w, r, &req) {
@@ -548,6 +589,24 @@ type stackPostRequest struct {
 	ExpectVersion *int64 `json:"expect_version,omitempty"`
 	// MaxRounds bounds reconcile rounds (default 4).
 	MaxRounds int `json:"max_rounds,omitempty"`
+}
+
+var stackPostFields = []string{"action", "partial", "expect_version", "max_rounds"}
+
+// DecodeJSON implements spec.Decodable.
+func (req *stackPostRequest) DecodeJSON(r *spec.Reader) {
+	r.Object("api.stackPostRequest", stackPostFields, func(field string) {
+		switch field {
+		case "action":
+			r.String(&req.Action)
+		case "partial":
+			r.Partial(&req.Partial)
+		case "expect_version":
+			r.OptionalInt64(&req.ExpectVersion)
+		case "max_rounds":
+			r.Int(&req.MaxRounds)
+		}
+	})
 }
 
 type stackApplyResponse struct {
@@ -778,6 +837,13 @@ type packageResponse struct {
 	Library    string `json:"library_fingerprint"`
 }
 
+// packageRequest is the body of POST /v1/packages: one JSON value, kept
+// as it was sent for packager.ReadArchive.
+type packageRequest []byte
+
+// DecodeJSON implements spec.Decodable.
+func (b *packageRequest) DecodeJSON(r *spec.Reader) { *b = r.Raw() }
+
 // handlePackagePost registers an app archive — what packager's
 // Archive.Bytes emits — as a package of the resident library. A package
 // key is immutable: the identical archive again is a no-op, and another
@@ -785,11 +851,11 @@ type packageResponse struct {
 // library is a successor snapshot; requests already running finish on
 // the one they loaded.
 func (s *Server) handlePackagePost(w http.ResponseWriter, r *http.Request) {
-	var raw json.RawMessage
-	if !decodeBody(w, r, &raw) {
+	var body packageRequest
+	if !decodeBody(w, r, &body) {
 		return
 	}
-	arch, err := packager.ReadArchive(raw)
+	arch, err := packager.ReadArchive(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), nil)
 		return

@@ -1,8 +1,6 @@
 package spec
 
 import (
-	"fmt"
-	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -291,65 +289,4 @@ func appendEscaped(dst []byte, s string) []byte {
 		start = i
 	}
 	return append(dst, s[start:]...)
-}
-
-// valueFromJSON converts a decoded JSON tree back to a resource.Value.
-func valueFromJSON(x any) (resource.Value, error) {
-	switch t := x.(type) {
-	case string:
-		return resource.Str(t), nil
-	case bool:
-		return resource.BoolV(t), nil
-	case float64:
-		if t != math.Trunc(t) {
-			return resource.Value{}, fmt.Errorf("non-integer number %v not supported", t)
-		}
-		return resource.IntV(int(t)), nil
-	case map[string]any:
-		if s, ok := t["__secret__"]; ok && len(t) == 1 {
-			str, ok := s.(string)
-			if !ok {
-				return resource.Value{}, fmt.Errorf("__secret__ payload must be a string")
-			}
-			return resource.SecretV(str), nil
-		}
-		fields := make(map[string]resource.Value, len(t))
-		for n, f := range t { //engage:maporder — builds a map; the first error wins, and any one rejects the document
-			v, err := valueFromJSON(f)
-			if err != nil {
-				return resource.Value{}, fmt.Errorf("field %q: %v", n, err)
-			}
-			fields[n] = v
-		}
-		return resource.StructV(fields), nil
-	case []any:
-		elems := make([]resource.Value, len(t))
-		for i, e := range t {
-			v, err := valueFromJSON(e)
-			if err != nil {
-				return resource.Value{}, fmt.Errorf("element %d: %v", i, err)
-			}
-			elems[i] = v
-		}
-		return resource.ListV(elems...), nil
-	case nil:
-		return resource.Value{}, fmt.Errorf("null values not supported")
-	default:
-		return resource.Value{}, fmt.Errorf("unsupported JSON value %T", x)
-	}
-}
-
-func valuesFromJSON(m map[string]any) (map[string]resource.Value, error) {
-	if len(m) == 0 {
-		return nil, nil
-	}
-	out := make(map[string]resource.Value, len(m))
-	for n, x := range m { //engage:maporder — builds a map; the first error wins, and any one rejects the document
-		v, err := valueFromJSON(x)
-		if err != nil {
-			return nil, fmt.Errorf("port %q: %v", n, err)
-		}
-		out[n] = v
-	}
-	return out, nil
 }

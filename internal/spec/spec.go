@@ -10,7 +10,6 @@ package spec
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"engage/internal/resource"
@@ -267,121 +266,6 @@ func (p *Partial) MarshalJSON() ([]byte, error) { return Marshal(p), nil }
 
 // MarshalJSON implements json.Marshaler for Full.
 func (f *Full) MarshalJSON() ([]byte, error) { return Marshal(f), nil }
-
-// The decoding forms of the JSON encoding; Encode writes the same
-// shape directly.
-
-type partialInstanceJSON struct {
-	ID     string         `json:"id"`
-	Key    string         `json:"key"`
-	Inside *linkJSON      `json:"inside"`
-	Config map[string]any `json:"config_port"`
-}
-
-type linkJSON struct {
-	ID string `json:"id"`
-}
-
-type depLinkJSON struct {
-	Class          string            `json:"class"`
-	Target         string            `json:"id"`
-	PortMap        map[string]string `json:"port_map"`
-	ReversePortMap map[string]string `json:"reverse_port_map"`
-}
-
-type instanceJSON struct {
-	ID      string         `json:"id"`
-	Key     string         `json:"key"`
-	Machine string         `json:"machine"`
-	Inside  *linkJSON      `json:"inside"`
-	Config  map[string]any `json:"config_port"`
-	Input   map[string]any `json:"input_ports"`
-	Output  map[string]any `json:"output_ports"`
-	Deps    []depLinkJSON  `json:"dependencies"`
-}
-
-// UnmarshalJSON implements json.Unmarshaler for Partial.
-func (p *Partial) UnmarshalJSON(data []byte) error {
-	var raw []partialInstanceJSON
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	p.Instances = nil
-	for _, r := range raw {
-		if r.ID == "" {
-			return fmt.Errorf("spec: instance with empty id")
-		}
-		cfg, err := valuesFromJSON(r.Config)
-		if err != nil {
-			return fmt.Errorf("spec: instance %q: %v", r.ID, err)
-		}
-		inst := &PartialInstance{
-			ID:     r.ID,
-			Key:    resource.ParseKey(r.Key),
-			Config: cfg,
-		}
-		if r.Inside != nil {
-			inst.Inside = r.Inside.ID
-		}
-		p.Instances = append(p.Instances, inst)
-	}
-	return nil
-}
-
-// UnmarshalJSON implements json.Unmarshaler for Full.
-func (f *Full) UnmarshalJSON(data []byte) error {
-	var raw []instanceJSON
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	f.Instances = nil
-	for _, r := range raw {
-		cfg, err := valuesFromJSON(r.Config)
-		if err != nil {
-			return fmt.Errorf("spec: instance %q config: %v", r.ID, err)
-		}
-		in, err := valuesFromJSON(r.Input)
-		if err != nil {
-			return fmt.Errorf("spec: instance %q input: %v", r.ID, err)
-		}
-		out, err := valuesFromJSON(r.Output)
-		if err != nil {
-			return fmt.Errorf("spec: instance %q output: %v", r.ID, err)
-		}
-		inst := &Instance{
-			ID:      r.ID,
-			Key:     resource.ParseKey(r.Key),
-			Machine: r.Machine,
-			Config:  cfg,
-			Input:   in,
-			Output:  out,
-		}
-		if r.Inside != nil {
-			inst.Inside = r.Inside.ID
-		}
-		for _, d := range r.Deps {
-			var class resource.DependencyClass
-			switch d.Class {
-			case "inside":
-				class = resource.DepInside
-			case "environment":
-				class = resource.DepEnv
-			case "peer":
-				class = resource.DepPeer
-			default:
-				return fmt.Errorf("spec: instance %q: unknown dependency class %q", r.ID, d.Class)
-			}
-			inst.Deps = append(inst.Deps, DepLink{
-				Class:          class,
-				Target:         d.Target,
-				PortMap:        d.PortMap,
-				ReversePortMap: d.ReversePortMap,
-			})
-		}
-		f.Instances = append(f.Instances, inst)
-	}
-	return nil
-}
 
 // LineCount renders the specification in canonical indented JSON and
 // counts its lines. The paper reports specification sizes in lines

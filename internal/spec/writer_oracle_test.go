@@ -59,7 +59,12 @@ func TestWriterOracleGolden(t *testing.T) {
 	}
 }
 
-func TestWriterOracleEngineAnswers(t *testing.T) {
+func TestWriterOracleEngineAnswers(t *testing.T) { forEachAnswer(t, checkAnswer) }
+
+// forEachAnswer calls check with each configured answer and the partial
+// it came from: OpenMRS at P 0 and 1, every Table 1 app, and fleet90,
+// fleet250 and fleet570 at seeds 1–3.
+func forEachAnswer(t *testing.T, check func(t *testing.T, name string, p *spec.Partial, full *spec.Full)) {
 	openmrs, err := testlib.OpenMRSRegistry()
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +80,7 @@ func TestWriterOracleEngineAnswers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkAnswer(t, fmt.Sprintf("openmrs/P=%d", parallelism), fig2, full)
+		check(t, fmt.Sprintf("openmrs/P=%d", parallelism), fig2, full)
 	}
 
 	lib, err := library.Registry()
@@ -98,7 +103,7 @@ func TestWriterOracleEngineAnswers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
-		checkAnswer(t, app.Name, p, full)
+		check(t, app.Name, p, full)
 	}
 
 	for _, name := range []string{"fleet90", "fleet250", "fleet570"} {
@@ -115,7 +120,7 @@ func TestWriterOracleEngineAnswers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", name, seed, err)
 			}
-			checkAnswer(t, fmt.Sprintf("%s/seed=%d", name, seed), p, full)
+			check(t, fmt.Sprintf("%s/seed=%d", name, seed), p, full)
 		}
 	}
 }
@@ -150,6 +155,15 @@ func checkRecord(t *testing.T, leg string, st *stack.Stack) {
 }
 
 func TestWriterOracleStackRecords(t *testing.T) {
+	forEachRecord(t, checkRecord)
+	spec.CheckWriter(t, "no stack", (*stack.Stack)(nil), nil)
+	bare := &stack.Stack{Name: "bare"}
+	spec.CheckWriter(t, "bare", bare, oracleStack{Name: "bare"})
+}
+
+// forEachRecord calls check with the OpenMRS stack record after apply,
+// after a re-apply that changed it, and after a drift repair.
+func forEachRecord(t *testing.T, check func(t *testing.T, leg string, st *stack.Stack)) {
 	reg, err := library.Registry()
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +180,7 @@ func TestWriterOracleStackRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkRecord(t, "apply", a.Stack)
+	check(t, "apply", a.Stack)
 
 	server, _ := p.Find("server")
 	server.Set("hostname", resource.Str("<web&1>\u2028"))
@@ -176,7 +190,7 @@ func TestWriterOracleStackRecords(t *testing.T) {
 	if a.Stack.Version != 2 {
 		t.Fatalf("re-apply left the record at version %d", a.Stack.Version)
 	}
-	checkRecord(t, "re-apply", a.Stack)
+	check(t, "re-apply", a.Stack)
 	if !bytes.Contains(spec.Marshal(a.Stack), []byte(`\u003cweb\u00261\u003e\u2028`)) {
 		t.Fatal("the re-applied record does not carry the escaped hostname")
 	}
@@ -192,9 +206,5 @@ func TestWriterOracleStackRecords(t *testing.T) {
 	if bytes.Equal(before, spec.Marshal(a.Stack)) {
 		t.Fatal("the repair rebound nothing: the record did not move")
 	}
-	checkRecord(t, "repair", a.Stack)
-
-	spec.CheckWriter(t, "no stack", (*stack.Stack)(nil), nil)
-	bare := &stack.Stack{Name: "bare"}
-	spec.CheckWriter(t, "bare", bare, oracleStack{Name: "bare"})
+	check(t, "repair", a.Stack)
 }
